@@ -105,7 +105,7 @@ func BenchmarkFig3aExoHLSTracks(b *testing.B) {
 	var r experiments.Fig3Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.Fig3()
+		r, err = experiments.Fig3(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func BenchmarkFig3bExoHLSBuffers(b *testing.B) {
 	var r experiments.Fig3Result
 	var err error
 	for i := 0; i < b.N; i++ {
-		r, err = experiments.Fig3()
+		r, err = experiments.Fig3(nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func BenchmarkCDNCacheSweep(b *testing.B) {
 	pop := cdnsim.Population{Viewers: 60, VideoZipf: 1.2, AudioSpread: 3, Seed: 11}
 	var points []cdnsim.CacheSweepPoint
 	for i := 0; i < b.N; i++ {
-		points = cdnsim.CacheSweep(content, pop, []int64{32 << 20, 128 << 20, 512 << 20})
+		points = cdnsim.CacheSweep(content, pop, []int64{32 << 20, 128 << 20, 512 << 20}, 0)
 	}
 	for _, p := range points {
 		b.ReportMetric(p.Stats.ByteHitRatio(), fmt.Sprintf("%s-%dMB-byte-hit", p.Mode, p.CacheBytes>>20))
@@ -277,7 +277,7 @@ func BenchmarkBestPracticeVsPlayers(b *testing.B) {
 			var outcomes []experiments.Outcome
 			var err error
 			for i := 0; i < b.N; i++ {
-				outcomes, err = experiments.Compare(s)
+				outcomes, err = experiments.Compare(s, 0)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -296,7 +296,7 @@ func BenchmarkAblations(b *testing.B) {
 		var out map[string]experiments.Outcome
 		var err error
 		for i := 0; i < b.N; i++ {
-			out, err = experiments.Ablate(scenario)
+			out, err = experiments.Ablate(scenario, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -311,7 +311,7 @@ func BenchmarkAblations(b *testing.B) {
 		var out map[string]experiments.Outcome
 		var err error
 		for i := 0; i < b.N; i++ {
-			out, err = experiments.Ablate(s)
+			out, err = experiments.Ablate(s, 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -360,7 +360,7 @@ func BenchmarkSafetyFactorFrontier(b *testing.B) {
 	var points []experiments.ParetoPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.SafetyFactorSweep([]float64{0.6, 0.8, 0.95})
+		points, err = experiments.SafetyFactorSweep([]float64{0.6, 0.8, 0.95}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,7 +377,7 @@ func BenchmarkSeedSweep(b *testing.B) {
 	var summaries []experiments.SeedSummary
 	var err error
 	for i := 0; i < b.N; i++ {
-		summaries, err = experiments.SeedSweep(5)
+		summaries, err = experiments.SeedSweep(5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func BenchmarkStartupDelay(b *testing.B) {
 	var points []experiments.StartupPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.StartupDelays(900)
+		points, err = experiments.StartupDelays(900, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,7 +540,7 @@ func BenchmarkBandwidthSweep(b *testing.B) {
 	var points []experiments.SweepPoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.BandwidthSweep([]float64{600, 1300, 3000})
+		points, err = experiments.BandwidthSweep([]float64{600, 1300, 3000}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -566,7 +566,7 @@ func BenchmarkFleet(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.BandwidthSweepParallel(kbps, bc.parallel); err != nil {
+				if _, err := experiments.BandwidthSweep(kbps, bc.parallel); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -583,7 +583,7 @@ func BenchmarkFleetScale(b *testing.B) {
 	var points []experiments.FleetScalePoint
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiments.FleetScale(ns)
+		points, err = experiments.FleetScale(ns, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

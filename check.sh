@@ -34,7 +34,10 @@
 #                    (shaping-determinism), and content without shaping
 #                    keeps byte-identical manifests and chunk sizes
 #                    (uniform zero-cost, pinned by the golden manifests)
-#  12. benchmem      fleet benchmarks compile and run once, so the
+#  12. cli identity  the whole paperfigs CLI (every section) prints
+#                    byte-identical stdout at -parallel 1 and at the
+#                    default GOMAXPROCS worker count
+#  13. benchmem      fleet benchmarks compile and run once, so the
 #                    allocs/op trajectory is always measurable
 #
 # Exits non-zero on the first failing step.
@@ -90,6 +93,15 @@ echo "== shaping gates (seeded plan determinism + uniform zero-cost contract)"
 go test -race -count=1 \
 	-run 'TestShapingDeterminism|TestLadderParallelDeterminism|TestFixedSpecKeepsUniformContract|TestGoldenMPD|TestGoldenMaster|TestGoldenMediaPlaylist' \
 	./internal/shaping ./internal/experiments ./internal/manifest/dash ./internal/manifest/hls
+
+echo "== whole-CLI worker-count identity (paperfigs -parallel 1 vs default workers, every section)"
+mkdir -p artifacts
+go run ./cmd/paperfigs -parallel 1 > artifacts/paperfigs-serial.txt
+go run ./cmd/paperfigs > artifacts/paperfigs-parallel.txt
+if ! cmp artifacts/paperfigs-serial.txt artifacts/paperfigs-parallel.txt; then
+	echo "check.sh: paperfigs output depends on the worker count (diff artifacts/paperfigs-serial.txt artifacts/paperfigs-parallel.txt)" >&2
+	exit 1
+fi
 
 echo "== benchmem smoke (1 iteration per fleet benchmark)"
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \

@@ -230,7 +230,7 @@ func fig3(csvDir string) error {
 	if timelineDir != "" {
 		rec = timeline.New(0, "fig3 exoplayer-hls")
 	}
-	r, err := experiments.Fig3Traced(rec)
+	r, err := experiments.Fig3(rec)
 	if err != nil {
 		return err
 	}
@@ -296,7 +296,7 @@ func fig5(csvDir string) error {
 
 func compare(string) error {
 	for _, s := range experiments.Scenarios() {
-		out, err := experiments.CompareParallel(s, parallelN)
+		out, err := experiments.Compare(s, parallelN)
 		if err != nil {
 			return err
 		}
@@ -308,14 +308,14 @@ func compare(string) error {
 
 func ablate(string) error {
 	for _, s := range experiments.Scenarios() {
-		out, err := experiments.AblateParallel(s, parallelN)
+		out, err := experiments.Ablate(s, parallelN)
 		if err != nil {
 			return err
 		}
 		var list []experiments.Outcome
-		for _, v := range experiments.AblationVariants(s.Content) {
-			o := out[v.Name]
-			o.Model = v.Name
+		for _, name := range experiments.AblationNames() {
+			o := out[name]
+			o.Model = name
 			list = append(list, o)
 		}
 		experiments.PrintOutcomes(os.Stdout, "Best-practice ablations, scenario "+s.Name, list)
@@ -325,7 +325,7 @@ func ablate(string) error {
 }
 
 func sweep(string) error {
-	points, err := experiments.BandwidthSweepParallel(experiments.DefaultSweepKbps(), parallelN)
+	points, err := experiments.BandwidthSweep(experiments.DefaultSweepKbps(), parallelN)
 	if err != nil {
 		return err
 	}
@@ -434,7 +434,7 @@ func language(string) error {
 }
 
 func seeds(string) error {
-	summaries, err := experiments.SeedSweepParallel(10, parallelN)
+	summaries, err := experiments.SeedSweep(10, parallelN)
 	if err != nil {
 		return err
 	}
@@ -444,7 +444,7 @@ func seeds(string) error {
 }
 
 func pareto(string) error {
-	points, err := experiments.SafetyFactorSweepParallel([]float64{0.6, 0.7, 0.8, 0.9, 0.95}, parallelN)
+	points, err := experiments.SafetyFactorSweep([]float64{0.6, 0.7, 0.8, 0.9, 0.95}, parallelN)
 	if err != nil {
 		return err
 	}
@@ -459,7 +459,7 @@ func pareto(string) error {
 
 func startup(string) error {
 	for _, kbps := range []float64{400, 900, 3000} {
-		points, err := experiments.StartupDelaysParallel(kbps, parallelN)
+		points, err := experiments.StartupDelays(kbps, parallelN)
 		if err != nil {
 			return err
 		}
@@ -520,20 +520,20 @@ func cdn(string) error {
 		d.HitRatio(), mx.HitRatio())
 	pop := cdnsim.Population{Viewers: 60, VideoZipf: 1.2, AudioSpread: 3, Seed: 11}
 	fmt.Println("Byte hit ratio vs cache size (staggered Zipf audience):")
-	for _, p := range cdnsim.CacheSweepParallel(content, pop, []int64{32 << 20, 128 << 20, 512 << 20}, parallelN) {
+	for _, p := range cdnsim.CacheSweep(content, pop, []int64{32 << 20, 128 << 20, 512 << 20}, parallelN) {
 		fmt.Printf("  %4d MB %s: %.3f\n", p.CacheBytes>>20, p.Mode, p.Stats.ByteHitRatio())
 	}
 	return nil
 }
 
 func fleet(string) error {
-	points, err := experiments.FleetScaleParallel(experiments.DefaultFleetSizes(), parallelN)
+	points, err := experiments.FleetScale(experiments.DefaultFleetSizes(), parallelN)
 	if err != nil {
 		return err
 	}
 	experiments.PrintFleetScale(os.Stdout, points)
 	fmt.Println()
-	mixes, err := experiments.FleetMixesParallel(8, parallelN)
+	mixes, err := experiments.FleetMixes(8, parallelN)
 	if err != nil {
 		return err
 	}
@@ -554,13 +554,13 @@ func fleetscale(string) error {
 }
 
 func transport(string) error {
-	cells, err := experiments.TransportComparisonParallel(parallelN)
+	cells, err := experiments.TransportComparison(parallelN)
 	if err != nil {
 		return err
 	}
 	experiments.PrintTransport(os.Stdout, cells)
 	fmt.Println()
-	points, err := experiments.TransportResilienceParallel(parallelN)
+	points, err := experiments.TransportResilience(parallelN)
 	if err != nil {
 		return err
 	}
@@ -572,11 +572,11 @@ func transport(string) error {
 // L2A, LoLP) holding a latency target over seeded random walks, then the
 // demuxed-vs-muxed live penalty across the h1/h2/h3 transport axis.
 func live(string) error {
-	cells, err := experiments.LiveComparisonParallel(parallelN)
+	cells, err := experiments.LiveComparison(parallelN)
 	if err != nil {
 		return err
 	}
-	tcells, err := experiments.LiveTransportParallel(parallelN)
+	tcells, err := experiments.LiveTransport(parallelN)
 	if err != nil {
 		return err
 	}
@@ -598,7 +598,7 @@ func ladder(string) error {
 }
 
 func resilience(string) error {
-	points, err := experiments.ResilienceSweepParallel(experiments.DefaultFaultRates(), parallelN)
+	points, err := experiments.ResilienceSweep(experiments.DefaultFaultRates(), parallelN)
 	if err != nil {
 		return err
 	}

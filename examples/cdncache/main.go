@@ -51,7 +51,7 @@ func main() {
 	pop := cdnsim.Population{Viewers: 60, VideoZipf: 1.2, AudioSpread: 3, Seed: 11}
 	fmt.Println("\nbyte hit ratio vs cache size (60 Zipf viewers, 3 audio variants):")
 	fmt.Println("  cache      demuxed  muxed")
-	for _, p := range cdnsim.CacheSweep(content, pop, []int64{32 << 20, 128 << 20, 512 << 20, 2 << 30}) {
+	for _, p := range cdnsim.CacheSweep(content, pop, []int64{32 << 20, 128 << 20, 512 << 20, 2 << 30}, 0) {
 		if p.Mode == cdnsim.Demuxed {
 			fmt.Printf("  %5d MB   %6.3f", p.CacheBytes>>20, p.Stats.ByteHitRatio())
 		} else {

@@ -102,58 +102,139 @@ type ManifestOptions struct {
 // BuildModel constructs a player model for the content, routing the
 // manifest information through the real encoders and parsers. It returns
 // the model and the combination list the server declared (nil for pure
-// DASH models, which get no combination restriction — the §2.3 gap).
+// DASH models, which get no combination restriction — the §2.3 gap). Only
+// the manifest the kind reads is generated and parsed.
 func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algorithm, []media.Combo, error) {
-	if mo.Combos == nil {
-		mo.Combos = media.HSub(c)
+	var m Manifests
+	if err := m.parse(c, mo, kind); err != nil {
+		return nil, nil, err
 	}
+	return m.Model(kind)
+}
+
+// Manifests is what a client reconstructs from the server's manifests:
+// the MPD's ladders, the master playlist's variants and rendition order,
+// and the single-file media playlists' per-chunk byte sizes. Parse it once
+// and build any number of models from it; Model never mutates it (the ABR
+// constructors copy the slices they sort), so concurrent sessions may
+// share one.
+type Manifests struct {
+	// Video and Audio are the ladders parsed from the MPD.
+	Video, Audio media.Ladder
+	// Combos and AudioOrder are the variant list and the audio rendition
+	// order parsed from the master playlist.
+	Combos     []media.Combo
+	AudioOrder []*media.Track
+
+	sizer  jointabr.ChunkSizer
+	parsed manifestSet
+}
+
+// manifestSet names which of a content's manifests a model reads.
+type manifestSet uint8
+
+const (
+	readsMPD manifestSet = 1 << iota
+	readsMaster
+	readsMediaPlaylists
+)
+
+// manifestsRead reports which manifests a kind's model is built from.
+func manifestsRead(kind PlayerKind) (manifestSet, error) {
 	switch kind {
 	case ExoPlayerDASH, DashJS:
-		video, audio, err := roundTripMPD(c)
+		return readsMPD, nil
+	case VBRJoint:
+		return readsMaster | readsMediaPlaylists, nil
+	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
+		return readsMaster, nil
+	}
+	return 0, fmt.Errorf("core: unknown player kind %q", kind)
+}
+
+// ParseManifests generates the content's manifests and parses back every
+// one that the given kinds read, so each of those kinds can then be built
+// with Model. mo.Combos defaults to the curated H_sub pairing.
+func ParseManifests(c *media.Content, mo ManifestOptions, kinds ...PlayerKind) (*Manifests, error) {
+	m := &Manifests{}
+	if err := m.parse(c, mo, kinds...); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+func (m *Manifests) parse(c *media.Content, mo ManifestOptions, kinds ...PlayerKind) error {
+	var need manifestSet
+	for _, k := range kinds {
+		r, err := manifestsRead(k)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
-		if kind == ExoPlayerDASH {
-			return exoplayer.NewDASH(video, audio), nil, nil
+		need |= r
+	}
+	var err error
+	if need&readsMPD != 0 {
+		if m.Video, m.Audio, err = roundTripMPD(c); err != nil {
+			return err
 		}
-		return dashjs.New(video, audio), nil, nil
-	case ExoPlayerHLS, Shaka, BestPractice, BestPracticeIndependent, BestPracticeAbandon, BolaJoint, MPCJoint, VBRJoint, DynamicJoint, LLDefault, LLL2A, LLLoLP:
-		combos, order, err := roundTripMaster(c, mo.Combos, mo.AudioOrder)
-		if err != nil {
-			return nil, nil, err
+	}
+	if need&readsMaster != 0 {
+		if mo.Combos == nil {
+			mo.Combos = media.HSub(c)
 		}
-		switch kind {
-		case ExoPlayerHLS:
-			return exoplayer.NewHLS(combos, order), combos, nil
-		case Shaka:
-			return shaka.NewHLS(combos), combos, nil
-		case BestPractice:
-			return jointabr.New(combos), combos, nil
-		case BestPracticeAbandon:
-			return jointabr.New(combos, jointabr.WithAbandonment()), combos, nil
-		case BolaJoint:
-			return jointabr.NewBolaJoint(combos, 0), combos, nil
-		case MPCJoint:
-			return jointabr.NewMPC(combos, 0), combos, nil
-		case VBRJoint:
-			sizer, err := chunkSizerFromPlaylists(c)
-			if err != nil {
-				return nil, nil, err
-			}
-			return jointabr.NewVBRAware(combos, sizer), combos, nil
-		case DynamicJoint:
-			return jointabr.NewDynamicJoint(combos), combos, nil
-		case LLDefault:
-			return lowlat.NewDefault(combos), combos, nil
-		case LLL2A:
-			return lowlat.NewL2A(combos), combos, nil
-		case LLLoLP:
-			return lowlat.NewLoLP(combos), combos, nil
-		default:
-			return jointabr.NewIndependent(combos), combos, nil
+		if m.Combos, m.AudioOrder, err = roundTripMaster(c, mo.Combos, mo.AudioOrder); err != nil {
+			return err
 		}
+	}
+	if need&readsMediaPlaylists != 0 {
+		if m.sizer, err = chunkSizerFromPlaylists(c); err != nil {
+			return err
+		}
+	}
+	m.parsed = need
+	return nil
+}
+
+// Model builds a fresh model of the given kind from the parsed manifests,
+// with the combination list the server declared (nil for pure DASH
+// models). It fails if the kind reads a manifest that was not parsed.
+func (m *Manifests) Model(kind PlayerKind) (abr.Algorithm, []media.Combo, error) {
+	need, err := manifestsRead(kind)
+	if err != nil {
+		return nil, nil, err
+	}
+	if need&^m.parsed != 0 {
+		return nil, nil, fmt.Errorf("core: %s reads a manifest that was not parsed", kind)
+	}
+	switch kind {
+	case ExoPlayerDASH:
+		return exoplayer.NewDASH(m.Video, m.Audio), nil, nil
+	case DashJS:
+		return dashjs.New(m.Video, m.Audio), nil, nil
+	case ExoPlayerHLS:
+		return exoplayer.NewHLS(m.Combos, m.AudioOrder), m.Combos, nil
+	case Shaka:
+		return shaka.NewHLS(m.Combos), m.Combos, nil
+	case BestPractice:
+		return jointabr.New(m.Combos), m.Combos, nil
+	case BestPracticeAbandon:
+		return jointabr.New(m.Combos, jointabr.WithAbandonment()), m.Combos, nil
+	case BolaJoint:
+		return jointabr.NewBolaJoint(m.Combos, 0), m.Combos, nil
+	case MPCJoint:
+		return jointabr.NewMPC(m.Combos, 0), m.Combos, nil
+	case VBRJoint:
+		return jointabr.NewVBRAware(m.Combos, m.sizer), m.Combos, nil
+	case DynamicJoint:
+		return jointabr.NewDynamicJoint(m.Combos), m.Combos, nil
+	case LLDefault:
+		return lowlat.NewDefault(m.Combos), m.Combos, nil
+	case LLL2A:
+		return lowlat.NewL2A(m.Combos), m.Combos, nil
+	case LLLoLP:
+		return lowlat.NewLoLP(m.Combos), m.Combos, nil
 	default:
-		return nil, nil, fmt.Errorf("core: unknown player kind %q", kind)
+		return jointabr.NewIndependent(m.Combos), m.Combos, nil
 	}
 }
 
@@ -162,11 +243,7 @@ func BuildModel(kind PlayerKind, c *media.Content, mo ManifestOptions) (abr.Algo
 func chunkSizerFromPlaylists(c *media.Content) (jointabr.ChunkSizer, error) {
 	sizes := make(map[string][]int64, len(c.Tracks()))
 	for _, tr := range c.Tracks() {
-		var buf bytes.Buffer
-		if err := hls.GenerateMedia(c, tr, hls.SingleFile, false).Encode(&buf); err != nil {
-			return nil, err
-		}
-		pl, err := hls.ParseMedia(&buf)
+		pl, err := ParseMediaPlaylist(c, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -183,6 +260,17 @@ func chunkSizerFromPlaylists(c *media.Content) (jointabr.ChunkSizer, error) {
 		}
 		return per[idx]
 	}, nil
+}
+
+// ParseMediaPlaylist generates a track's single-file media playlist and
+// parses it back: the second-level manifest whose byte ranges §4.1
+// clients read for per-track and per-chunk sizes.
+func ParseMediaPlaylist(c *media.Content, tr *media.Track) (*hls.MediaPlaylist, error) {
+	var buf bytes.Buffer
+	if err := hls.GenerateMedia(c, tr, hls.SingleFile, false).Encode(&buf); err != nil {
+		return nil, err
+	}
+	return hls.ParseMedia(&buf)
 }
 
 func roundTripMPD(c *media.Content) (media.Ladder, media.Ladder, error) {

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
 	"demuxabr/internal/media"
+	"demuxabr/internal/report"
 	"demuxabr/internal/trace"
 )
 
@@ -65,6 +68,66 @@ func TestParsePlayerKind(t *testing.T) {
 
 func TestBuildModelUnknownKind(t *testing.T) {
 	if _, _, err := BuildModel("nope", media.DramaShow(), ManifestOptions{}); err == nil {
+		t.Error("unknown kind should fail")
+	}
+}
+
+// TestParseOnceMatchesBuildModel pins the seam the experiments build
+// their models through: for every kind, a model from one Manifests parsed
+// for all kinds plays the byte-identical session of a model from
+// BuildModel, result and metrics both.
+func TestParseOnceMatchesBuildModel(t *testing.T) {
+	c := media.DramaShow()
+	profile := trace.Fig3VaryingAvg600()
+	m, err := ParseManifests(c, ManifestOptions{}, PlayerKinds()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func(s *Session) []byte {
+		var buf bytes.Buffer
+		if err := report.FromResult(c.Name, s.Result, s.Metrics).WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, kind := range PlayerKinds() {
+		built, builtAllowed, err := BuildModel(kind, c, ManifestOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, sharedAllowed, err := m.Model(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Play(Spec{Content: c, Profile: profile, Model: built, Manifest: ManifestOptions{Combos: builtAllowed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Play(Spec{Content: c, Profile: profile, Model: shared, Manifest: ManifestOptions{Combos: sharedAllowed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Result, want.Result) || !reflect.DeepEqual(got.Metrics, want.Metrics) {
+			t.Errorf("%s: parse-once session differs from BuildModel's", kind)
+		}
+		if !bytes.Equal(render(got), render(want)) {
+			t.Errorf("%s: parse-once report differs from BuildModel's", kind)
+		}
+	}
+}
+
+func TestModelNeedsItsManifest(t *testing.T) {
+	m, err := ParseManifests(media.DramaShow(), ManifestOptions{}, DashJS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.Model(DashJS); err != nil {
+		t.Errorf("dashjs from a parsed MPD: %v", err)
+	}
+	if _, _, err := m.Model(BestPractice); err == nil {
+		t.Error("bestpractice without a parsed master playlist should fail")
+	}
+	if _, err := ParseManifests(media.DramaShow(), ManifestOptions{}, "nope"); err == nil {
 		t.Error("unknown kind should fail")
 	}
 }

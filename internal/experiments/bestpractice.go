@@ -1,17 +1,17 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
+	"math"
 
 	"demuxabr/internal/abr"
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/manifest/hls"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
 
@@ -33,27 +33,20 @@ type RepairResult struct {
 }
 
 // RecoveredLadders rebuilds track ladders the way a §4.1-compliant HLS
-// client does: generate (here) and parse each track's media playlist and
-// derive per-track peak/average bitrates from the byte ranges.
+// client does: parse each track's media playlist and derive per-track
+// peak/average bitrates from the byte ranges.
 func RecoveredLadders(c *media.Content) (video, audio media.Ladder, maxRelErr float64, err error) {
-	recover := func(tr *media.Track) (*media.Track, float64, error) {
-		var buf bytes.Buffer
-		if err := hls.GenerateMedia(c, tr, hls.SingleFile, false).Encode(&buf); err != nil {
-			return nil, 0, err
-		}
-		pl, err := hls.ParseMedia(&buf)
+	for _, tr := range c.Tracks() {
+		pl, err := core.ParseMediaPlaylist(c, tr)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
 		peak, avg, err := hls.TrackBitrate(pl)
 		if err != nil {
-			return nil, 0, err
+			return nil, nil, 0, err
 		}
-		relErr := float64(avg-tr.AvgBitrate) / float64(tr.AvgBitrate)
-		if relErr < 0 {
-			relErr = -relErr
-		}
-		return &media.Track{
+		maxRelErr = math.Max(maxRelErr, math.Abs(float64(avg-tr.AvgBitrate)/float64(tr.AvgBitrate)))
+		rec := &media.Track{
 			ID:              tr.ID,
 			Type:            tr.Type,
 			AvgBitrate:      avg,
@@ -62,27 +55,12 @@ func RecoveredLadders(c *media.Content) (video, audio media.Ladder, maxRelErr fl
 			Resolution:      tr.Resolution,
 			Channels:        tr.Channels,
 			SampleRateHz:    tr.SampleRateHz,
-		}, relErr, nil
-	}
-	for _, tr := range c.VideoTracks {
-		rec, e, err := recover(tr)
-		if err != nil {
-			return nil, nil, 0, err
 		}
-		if e > maxRelErr {
-			maxRelErr = e
+		if tr.Type == media.Video {
+			video = append(video, rec)
+		} else {
+			audio = append(audio, rec)
 		}
-		video = append(video, rec)
-	}
-	for _, tr := range c.AudioTracks {
-		rec, e, err := recover(tr)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if e > maxRelErr {
-			maxRelErr = e
-		}
-		audio = append(audio, rec)
 	}
 	return video, audio, maxRelErr, nil
 }
@@ -93,12 +71,11 @@ func RecoveredLadders(c *media.Content) (video, audio media.Ladder, maxRelErr fl
 // drops versus the broken player.
 func Fig3Repaired() (RepairResult, error) {
 	content := media.DramaShow()
-	order := []*media.Track{content.AudioTracks[2], content.AudioTracks[1], content.AudioTracks[0]}
-	combos, parsedOrder, err := hlsMaster(content, media.HSub(content), order)
+	spec, m, err := soloSpec(core.ExoPlayerHLS, content, core.ManifestOptions{AudioOrder: a3First(content)}, trace.Fig3VaryingAvg600())
 	if err != nil {
 		return RepairResult{}, err
 	}
-	broken, err := Run(content, trace.Fig3VaryingAvg600(), exoplayer.NewHLS(combos, parsedOrder), combos)
+	broken, err := play(spec, true)
 	if err != nil {
 		return RepairResult{}, err
 	}
@@ -107,14 +84,15 @@ func Fig3Repaired() (RepairResult, error) {
 		return RepairResult{}, err
 	}
 	// Re-key the master's variants onto the recovered tracks.
-	variants := make([]media.Combo, len(combos))
-	for i, cb := range combos {
+	variants := make([]media.Combo, len(m.Combos))
+	for i, cb := range m.Combos {
 		variants[i] = media.Combo{Video: video.ByID(cb.Video.ID), Audio: audio.ByID(cb.Audio.ID)}
 		if variants[i].Video == nil || variants[i].Audio == nil {
 			return RepairResult{}, fmt.Errorf("experiments: variant %s not recoverable", cb)
 		}
 	}
-	repaired, err := Run(content, trace.Fig3VaryingAvg600(), exoplayer.NewHLSRepaired(variants), combos)
+	spec.Model = exoplayer.NewHLSRepaired(variants)
+	repaired, err := play(spec, true)
 	if err != nil {
 		return RepairResult{}, err
 	}
@@ -144,7 +122,7 @@ type SplitPathResult struct {
 // audio and video are fetched over different network paths".
 func SplitPath() (SplitPathResult, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, core.BestPractice)
 	if err != nil {
 		return SplitPathResult{}, err
 	}
@@ -154,22 +132,16 @@ func SplitPath() (SplitPathResult, error) {
 		videoLink := netsim.NewLink(eng, trace.Fixed(media.Kbps(r.VideoPathKbps)))
 		audioLink := netsim.NewLink(eng, trace.Fixed(media.Kbps(r.AudioPathKbps)))
 		res, err := player.RunSplit(videoLink, audioLink, player.Config{Content: content, Model: model})
-		if err != nil {
-			return Outcome{}, err
-		}
-		if !res.Ended {
-			return Outcome{}, fmt.Errorf("experiments: %s did not finish on split paths", model.Name())
-		}
-		return Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-		}, nil
+		return scored(res, err, model, content, m.Combos)
 	}
-	if r.Shared, err = run(jointabr.New(combos)); err != nil {
+	shared, _, err := m.Model(core.BestPractice)
+	if err != nil {
 		return SplitPathResult{}, err
 	}
-	if r.PathAware, err = run(jointabr.New(combos, jointabr.WithPathAwareness())); err != nil {
+	if r.Shared, err = run(shared); err != nil {
+		return SplitPathResult{}, err
+	}
+	if r.PathAware, err = run(jointabr.New(m.Combos, jointabr.WithPathAwareness())); err != nil {
 		return SplitPathResult{}, err
 	}
 	return r, nil
@@ -190,30 +162,24 @@ type SyncGranularityPoint struct {
 // cheap.
 func SyncGranularity(windows []int) ([]SyncGranularityPoint, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, core.BestPractice)
 	if err != nil {
 		return nil, err
 	}
 	var out []SyncGranularityPoint
 	for _, w := range windows {
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{Content: content, Model: model, SyncWindow: w})
+		model, combos, err := m.Model(core.BestPractice)
 		if err != nil {
 			return nil, err
 		}
-		if !res.Ended {
-			return nil, fmt.Errorf("experiments: sync window %d did not finish", w)
+		eng := netsim.NewEngine()
+		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
+		res, err := player.Run(link, player.Config{Content: content, Model: model, SyncWindow: w})
+		o, err := scored(res, err, model, content, combos)
+		if err != nil {
+			return nil, fmt.Errorf("sync window %d: %w", w, err)
 		}
-		out = append(out, SyncGranularityPoint{
-			Window: w,
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		})
+		out = append(out, SyncGranularityPoint{Window: w, Outcome: o})
 	}
 	return out, nil
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/dashjs"
-	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/jointabr"
-	"demuxabr/internal/abr/shaka"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
@@ -35,73 +33,39 @@ func Scenarios() []Scenario {
 	}
 }
 
-// modelSpec is a deferred player-model construction: the manifest parsing
-// is done once, the (stateful) model is built per session. Fleet runners
-// hand each runpool job its own build() call so sessions never share
-// mutable model state; the ABR constructors copy the combo/ladder slices
-// they sort, so sharing the parsed inputs across concurrent builds is
-// safe.
-type modelSpec struct {
-	name  string
-	build func() abr.Algorithm
+// comparedKinds are the player models of the head-to-head comparisons, in
+// print order: the three studied players (ExoPlayer under both manifests),
+// the best-practice design, and the joint designs.
+func comparedKinds() []core.PlayerKind {
+	return []core.PlayerKind{
+		core.ExoPlayerDASH, core.ExoPlayerHLS, core.Shaka, core.DashJS,
+		core.BestPractice, core.BolaJoint, core.MPCJoint, core.DynamicJoint,
+	}
 }
 
-// modelSpecs parses the manifests for a content asset once and returns one
-// constructor per player model, in the fixed comparison order, plus the
-// allowed combination list (H_sub as parsed from the master playlist).
-func modelSpecs(c *media.Content) (specs []modelSpec, allowed []media.Combo, err error) {
-	video, audio, err := dashLadders(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	order := []*media.Track{c.AudioTracks[2], c.AudioTracks[1], c.AudioTracks[0]}
-	combos, parsedOrder, err := hlsMaster(c, media.HSub(c), order)
-	if err != nil {
-		return nil, nil, err
-	}
-	specs = []modelSpec{
-		{"exoplayer-dash", func() abr.Algorithm { return exoplayer.NewDASH(video, audio) }},
-		{"exoplayer-hls", func() abr.Algorithm { return exoplayer.NewHLS(combos, parsedOrder) }},
-		{"shaka", func() abr.Algorithm { return shaka.NewHLS(combos) }},
-		{"dashjs", func() abr.Algorithm { return dashjs.New(video, audio) }},
-		{"bestpractice", func() abr.Algorithm { return jointabr.New(combos) }},
-		{"bola-joint", func() abr.Algorithm { return jointabr.NewBolaJoint(combos, 0) }},
-		{"mpc-joint", func() abr.Algorithm { return jointabr.NewMPC(combos, 0) }},
-		{"dynamic-joint", func() abr.Algorithm { return jointabr.NewDynamicJoint(combos) }},
-	}
-	return specs, combos, nil
-}
-
-// buildModels constructs every player model for a content asset, each from
-// the manifest a real deployment would give it: ExoPlayer-DASH and dash.js
-// from the MPD; ExoPlayer-HLS, Shaka and the best-practice player from the
+// parseCompared parses a content's manifests once for every compared
+// kind, each reading what a real deployment would give it: ExoPlayer-DASH
+// and dash.js the MPD; ExoPlayer-HLS, Shaka and the joint players the
 // H_sub master playlist (A3 listed first, as in Fig. 3).
-func buildModels(c *media.Content) (models []abr.Algorithm, allowed []media.Combo, err error) {
-	specs, allowed, err := modelSpecs(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	models = make([]abr.Algorithm, len(specs))
-	for i, sp := range specs {
-		models[i] = sp.build()
-	}
-	return models, allowed, nil
+func parseCompared(c *media.Content) (*core.Manifests, error) {
+	return core.ParseManifests(c, core.ManifestOptions{AudioOrder: a3First(c)}, comparedKinds()...)
 }
 
-// Compare runs every player model (the three studied players plus the
-// best-practice design) under one scenario.
-func Compare(s Scenario) ([]Outcome, error) { return CompareParallel(s, 0) }
-
-// CompareParallel is Compare with an explicit worker count (0 =
-// GOMAXPROCS, 1 = serial). Each model plays its session on its own
-// engine; outcomes keep the fixed comparison order.
-func CompareParallel(s Scenario, parallel int) ([]Outcome, error) {
-	specs, allowed, err := modelSpecs(s.Content)
+// Compare runs every compared player model under one scenario with the
+// given worker count (0 = GOMAXPROCS, 1 = serial). Each model plays its
+// session on its own engine; outcomes keep the comparison order.
+func Compare(s Scenario, parallel int) ([]Outcome, error) {
+	m, err := parseCompared(s.Content)
 	if err != nil {
 		return nil, err
 	}
-	return runpool.Map(parallel, len(specs), func(i int) (Outcome, error) {
-		out, err := Run(s.Content, s.Profile, specs[i].build(), allowed)
+	kinds := comparedKinds()
+	return runpool.Map(parallel, len(kinds), func(i int) (Outcome, error) {
+		spec, err := kindSpec(m, kinds[i], s.Content, s.Profile)
+		if err != nil {
+			return Outcome{}, err
+		}
+		out, err := play(spec, true)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("scenario %s: %w", s.Name, err)
 		}
@@ -109,10 +73,11 @@ func CompareParallel(s Scenario, parallel int) ([]Outcome, error) {
 	})
 }
 
-// AblationVariant names one best-practice design choice switched off.
-type AblationVariant struct {
-	Name  string
-	Model abr.Algorithm
+// modelSpec is a deferred construction of a custom player model, so every
+// session gets its own stateful model.
+type modelSpec struct {
+	name  string
+	build func() abr.Algorithm
 }
 
 // ablationSpecs returns deferred constructors for the best-practice player
@@ -125,9 +90,7 @@ type AblationVariant struct {
 //   - no-damping: no switch hysteresis (practice 3, stability clause, off);
 //   - independent-scheduling: free-running per-type downloads (practice 4
 //     off).
-func ablationSpecs(c *media.Content) []modelSpec {
-	hsub := media.HSub(c)
-	hall := media.HAll(c)
+func ablationSpecs(hsub, hall []media.Combo) []modelSpec {
 	return []modelSpec{
 		{"full", func() abr.Algorithm { return jointabr.New(hsub) }},
 		{"no-allowed-list", func() abr.Algorithm { return jointabr.New(hall) }},
@@ -137,27 +100,28 @@ func ablationSpecs(c *media.Content) []modelSpec {
 	}
 }
 
-// AblationVariants builds the best-practice player and its ablations for a
-// content asset.
-func AblationVariants(c *media.Content) []AblationVariant {
-	specs := ablationSpecs(c)
-	out := make([]AblationVariant, len(specs))
-	for i, sp := range specs {
-		out[i] = AblationVariant{Name: sp.name, Model: sp.build()}
+// AblationNames lists the best-practice player and its ablations in print
+// order: the keys of Ablate's result.
+func AblationNames() []string {
+	var names []string
+	for _, sp := range ablationSpecs(nil, nil) {
+		names = append(names, sp.name)
 	}
-	return out
+	return names
 }
 
-// Ablate runs the best-practice player and all ablations under a scenario.
-func Ablate(s Scenario) (map[string]Outcome, error) { return AblateParallel(s, 0) }
-
-// AblateParallel is Ablate with an explicit worker count (0 = GOMAXPROCS,
-// 1 = serial).
-func AblateParallel(s Scenario, parallel int) (map[string]Outcome, error) {
+// Ablate runs the best-practice player and all ablations under a scenario
+// with the given worker count (0 = GOMAXPROCS, 1 = serial).
+func Ablate(s Scenario, parallel int) (map[string]Outcome, error) {
 	allowed := media.HSub(s.Content)
-	specs := ablationSpecs(s.Content)
+	specs := ablationSpecs(allowed, media.HAll(s.Content))
 	outs, err := runpool.Map(parallel, len(specs), func(i int) (Outcome, error) {
-		o, err := Run(s.Content, s.Profile, specs[i].build(), allowed)
+		o, err := play(core.Spec{
+			Content:  s.Content,
+			Profile:  s.Profile,
+			Model:    specs[i].build(),
+			Manifest: core.ManifestOptions{Combos: allowed},
+		}, true)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("ablation %s: %w", specs[i].name, err)
 		}

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
@@ -92,26 +90,19 @@ func weightedAudio(w float64) qoe.Weights {
 	return weights
 }
 
+// runCuration plays the best-practice player over one server-declared
+// combination list and scores it with the content's weights.
 func runCuration(c *media.Content, profile trace.Profile, rawCombos []media.Combo, weights qoe.Weights) (Outcome, error) {
-	combos, _, err := hlsMaster(c, rawCombos, nil)
+	spec, m, err := soloSpec(core.BestPractice, c, core.ManifestOptions{Combos: rawCombos}, profile)
 	if err != nil {
 		return Outcome{}, err
 	}
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, profile)
-	model := jointabr.New(combos)
-	res, err := player.Run(link, player.Config{Content: c, Model: model})
+	out, err := play(spec, true)
 	if err != nil {
-		return Outcome{}, err
+		return Outcome{}, fmt.Errorf("curation on %s: %w", c.Name, err)
 	}
-	if !res.Ended {
-		return Outcome{}, fmt.Errorf("experiments: curation run on %s did not finish", c.Name)
-	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, c, combos, weights),
-	}, nil
+	out.Metrics = qoe.Compute(out.Result, c, m.Combos, weights)
+	return out, nil
 }
 
 // ChunkDurationPoint is one cell of the chunking sweep.
@@ -140,29 +131,16 @@ func ChunkDurationSweep(chunkSecs []float64) ([]ChunkDurationPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		combos, _, err := hlsMaster(content, media.HSub(content), nil)
+		spec, _, err := soloSpec(core.BestPractice, content, core.ManifestOptions{}, trace.Fixed(media.Kbps(900)))
 		if err != nil {
 			return nil, err
 		}
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(900)))
-		link.RTT = 100 * time.Millisecond
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{Content: content, Model: model})
+		spec.RTT = 100 * time.Millisecond
+		o, err := play(spec, true)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%g s chunks: %w", cs, err)
 		}
-		if !res.Ended {
-			return nil, fmt.Errorf("experiments: %g s chunks did not finish", cs)
-		}
-		out = append(out, ChunkDurationPoint{
-			ChunkSeconds: cs,
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		})
+		out = append(out, ChunkDurationPoint{ChunkSeconds: cs, Outcome: o})
 	}
 	return out, nil
 }

@@ -21,13 +21,17 @@ func TestDeterministicReport(t *testing.T) {
 	render := func() []byte {
 		content := media.DramaShow()
 		profile := trace.RandomWalk(seed, media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute)
-		models, allowed, err := buildModels(content)
+		m, err := parseCompared(content)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		for _, m := range models {
-			out, err := Run(content, profile, m, allowed)
+		for _, kind := range comparedKinds() {
+			spec, err := kindSpec(m, kind, content, profile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := play(spec, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +61,7 @@ func TestDeterministicReport(t *testing.T) {
 func TestParallelEquivalenceBandwidthSweep(t *testing.T) {
 	kbps := []float64{600, 2000}
 	render := func(parallel int) []byte {
-		points, err := BandwidthSweepParallel(kbps, parallel)
+		points, err := BandwidthSweep(kbps, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +81,7 @@ func TestParallelEquivalenceBandwidthSweep(t *testing.T) {
 // order-sensitive collection in the repo.
 func TestParallelEquivalenceSeedSweep(t *testing.T) {
 	render := func(parallel int) []byte {
-		summaries, err := SeedSweepParallel(3, parallel)
+		summaries, err := SeedSweep(3, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,11 +100,11 @@ func TestParallelEquivalenceSeedSweep(t *testing.T) {
 // runners at a cheap scenario.
 func TestParallelEquivalenceCompareAndAblate(t *testing.T) {
 	s := Scenarios()[0]
-	serialOut, err := CompareParallel(s, 1)
+	serialOut, err := Compare(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelOut, err := CompareParallel(s, 0)
+	parallelOut, err := Compare(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +114,11 @@ func TestParallelEquivalenceCompareAndAblate(t *testing.T) {
 	if !bytes.Equal(serialBuf.Bytes(), parallelBuf.Bytes()) {
 		t.Fatalf("parallel Compare diverges from serial:\n%s\nvs\n%s", serialBuf.Bytes(), parallelBuf.Bytes())
 	}
-	serialAb, err := AblateParallel(s, 1)
+	serialAb, err := Ablate(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallelAb, err := AblateParallel(s, 0)
+	parallelAb, err := Ablate(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,25 +1,22 @@
 // Package experiments defines one runner per table and figure of the
-// paper's evaluation, wiring the full stack end-to-end: content synthesis →
-// manifest generation and re-parsing → player model construction from the
-// parsed manifest → discrete-event streaming session → QoE metrics.
+// paper's evaluation, wiring the full stack end-to-end through core:
+// content synthesis → manifest generation and re-parsing → player model
+// construction from the parsed manifest → discrete-event streaming session
+// → QoE metrics.
 //
 // Every runner is deterministic; the benchmark harness (bench_test.go at
 // the repository root) regenerates the paper's rows and series from these.
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"time"
 
 	"demuxabr/internal/abr"
-	"demuxabr/internal/manifest/dash"
-	"demuxabr/internal/manifest/hls"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
-	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
 )
 
@@ -30,32 +27,62 @@ type Outcome struct {
 	Metrics qoe.Metrics
 }
 
-// Run executes one streaming session. allowed (may be nil) is used for
-// off-manifest accounting in the metrics.
-func Run(content *media.Content, profile trace.Profile, model abr.Algorithm, allowed []media.Combo) (Outcome, error) {
-	return RunRecorded(content, profile, model, allowed, nil)
+// play runs one session through core.Play. mustFinish rejects a session
+// that did not reach the end of the content; the resilience and live
+// families pass false, because a session cut short is what they measure.
+func play(spec core.Spec, mustFinish bool) (Outcome, error) {
+	s, err := core.Play(spec)
+	if err != nil {
+		return Outcome{}, fmt.Errorf("experiments: %w", err)
+	}
+	if mustFinish && !s.Result.Ended {
+		return Outcome{}, fmt.Errorf("experiments: %s: session did not finish", s.Model)
+	}
+	return Outcome{Model: s.Model, Result: s.Result, Metrics: s.Metrics}, nil
 }
 
-// RunRecorded is Run with a flight recorder attached to the session and
-// its link (nil rec behaves exactly like Run).
-func RunRecorded(content *media.Content, profile trace.Profile, model abr.Algorithm, allowed []media.Combo, rec *timeline.Recorder) (Outcome, error) {
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, profile)
-	if rec != nil {
-		link.SetRecorder(rec, "link")
-	}
-	res, err := player.Run(link, player.Config{Content: content, Model: model, Recorder: rec})
+// scored applies play's checks to a session run on player directly — the
+// four experiments that need an option core.Spec cannot express (cross
+// traffic, split paths, the sync window, audio resets) — and scores it
+// against allowed.
+func scored(res *player.Result, err error, model abr.Algorithm, c *media.Content, allowed []media.Combo) (Outcome, error) {
 	if err != nil {
 		return Outcome{}, fmt.Errorf("experiments: %s: %w", model.Name(), err)
 	}
 	if !res.Ended {
 		return Outcome{}, fmt.Errorf("experiments: %s: session did not finish", model.Name())
 	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, content, allowed, qoe.DefaultWeights()),
-	}, nil
+	return Outcome{Model: model.Name(), Result: res, Metrics: qoe.Compute(res, c, allowed, qoe.DefaultWeights())}, nil
+}
+
+// kindSpec is the session spec of a built-in player kind over manifests
+// parsed once per experiment. The model comes from core's constructor
+// switch, and off-manifest selections count against the parsed variant
+// list for every kind, the DASH ones included (nil when no master
+// playlist was parsed).
+func kindSpec(m *core.Manifests, kind core.PlayerKind, c *media.Content, profile trace.Profile) (core.Spec, error) {
+	model, _, err := m.Model(kind)
+	if err != nil {
+		return core.Spec{}, err
+	}
+	return core.Spec{Content: c, Profile: profile, Model: model, Manifest: core.ManifestOptions{Combos: m.Combos}}, nil
+}
+
+// soloSpec parses just the manifest one player kind reads and returns
+// the spec of that kind's session over the given link.
+func soloSpec(kind core.PlayerKind, c *media.Content, mo core.ManifestOptions, profile trace.Profile) (core.Spec, *core.Manifests, error) {
+	m, err := core.ParseManifests(c, mo, kind)
+	if err != nil {
+		return core.Spec{}, nil, err
+	}
+	spec, err := kindSpec(m, kind, c, profile)
+	return spec, m, err
+}
+
+// a3First lists the audio renditions top-down, so the master playlist
+// names A3 first — the Fig. 3 manifest.
+func a3First(c *media.Content) []*media.Track {
+	return []*media.Track{c.AudioTracks[2], c.AudioTracks[1], c.AudioTracks[0]}
 }
 
 // DominantCombo returns the combination selected for the most chunk
@@ -94,42 +121,6 @@ func DominantCombo(res *player.Result) media.Combo {
 		}
 	}
 	return best
-}
-
-// dashLadders round-trips the content through a generated-and-parsed MPD,
-// returning the ladders a real DASH client would reconstruct.
-func dashLadders(c *media.Content) (video, audio media.Ladder, err error) {
-	var buf bytes.Buffer
-	if err := dash.Generate(c).Encode(&buf); err != nil {
-		return nil, nil, err
-	}
-	mpd, err := dash.Parse(&buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return dash.Ladders(mpd)
-}
-
-// hlsMaster round-trips a master playlist, returning the combination list
-// and rendition order a real HLS client would parse.
-func hlsMaster(c *media.Content, combos []media.Combo, audioOrder []*media.Track) ([]media.Combo, []*media.Track, error) {
-	var buf bytes.Buffer
-	if err := hls.GenerateMaster(c, combos, audioOrder).Encode(&buf); err != nil {
-		return nil, nil, err
-	}
-	m, err := hls.ParseMaster(&buf)
-	if err != nil {
-		return nil, nil, err
-	}
-	parsedCombos, err := hls.CombosFromMaster(m, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	order, err := hls.AudioOrderFromMaster(m, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parsedCombos, order, nil
 }
 
 // TimelinePoint is one figure sample: time, selected tracks, buffers,

@@ -47,7 +47,7 @@ func TestFig2bReproduces(t *testing.T) {
 }
 
 func TestFig3Reproduces(t *testing.T) {
-	r, err := Fig3()
+	r, err := Fig3(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestBestPracticeWinsOnPaperScenarios(t *testing.T) {
 	for _, s := range Scenarios() {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
-			outcomes, err := Compare(s)
+			outcomes, err := Compare(s, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +198,7 @@ func TestAblationsQuantifyDesignChoices(t *testing.T) {
 	// Use the dash.js scenario (tight fixed link) where scheduling and
 	// estimation choices matter most.
 	s := Scenario{Name: "fixed-700k", Content: media.DramaShow(), Profile: Scenarios()[4].Profile}
-	out, err := Ablate(s)
+	out, err := Ablate(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestPrintersProduceTables(t *testing.T) {
 		t.Errorf("Table 2 output missing rows:\n%s", buf.String())
 	}
 	buf.Reset()
-	outcomes, err := Compare(Scenarios()[0])
+	outcomes, err := Compare(Scenarios()[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestPrintersProduceTables(t *testing.T) {
 }
 
 func TestBandwidthSweepShapes(t *testing.T) {
-	points, err := BandwidthSweep([]float64{400, 1300, 4500})
+	points, err := BandwidthSweep([]float64{400, 1300, 4500}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +531,7 @@ func TestLanguageSwitch(t *testing.T) {
 }
 
 func TestSeedSweep(t *testing.T) {
-	summaries, err := SeedSweep(5)
+	summaries, err := SeedSweep(5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +549,7 @@ func TestSeedSweep(t *testing.T) {
 		byName[s.Model] = s
 	}
 	// Determinism: repeating the sweep reproduces the summaries exactly.
-	again, err := SeedSweep(5)
+	again, err := SeedSweep(5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,7 +567,7 @@ func TestSeedSweep(t *testing.T) {
 }
 
 func TestStartupDelays(t *testing.T) {
-	points, err := StartupDelays(900)
+	points, err := StartupDelays(900, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +604,7 @@ func TestFig4aEstimateSeriesIsFlat(t *testing.T) {
 func TestFig3StallsAlignWithLowPhases(t *testing.T) {
 	// The Fig 3(b) shading: every stall must begin inside (or at the edge
 	// of) a low-bandwidth phase of the trace.
-	r, err := Fig3()
+	r, err := Fig3(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -642,7 +642,7 @@ func TestFig4bEstimateRisesMonotonicallyAfterWarmup(t *testing.T) {
 }
 
 func TestSafetyFactorSweep(t *testing.T) {
-	points, err := SafetyFactorSweep([]float64{0.6, 0.8, 0.95})
+	points, err := SafetyFactorSweep([]float64{0.6, 0.8, 0.95}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"demuxabr/internal/abr/dashjs"
 	"demuxabr/internal/abr/exoplayer"
 	"demuxabr/internal/abr/shaka"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/timeline"
 	"demuxabr/internal/trace"
@@ -32,23 +32,22 @@ type Fig2Result struct {
 }
 
 func fig2(content *media.Content, betterVideo, betterAudio string) (Fig2Result, error) {
-	video, audio, err := dashLadders(content)
+	spec, m, err := soloSpec(core.ExoPlayerDASH, content, core.ManifestOptions{}, trace.Fig2Bandwidth())
 	if err != nil {
 		return Fig2Result{}, err
 	}
-	model := exoplayer.NewDASH(video, audio)
-	out, err := Run(content, trace.Fig2Bandwidth(), model, nil)
+	out, err := play(spec, true)
 	if err != nil {
 		return Fig2Result{}, err
 	}
 	// Resolve the "better" combination against the parsed ladders.
-	better := media.Combo{Video: video.ByID(betterVideo), Audio: audio.ByID(betterAudio)}
+	better := media.Combo{Video: m.Video.ByID(betterVideo), Audio: m.Audio.ByID(betterAudio)}
 	if better.Video == nil || better.Audio == nil {
 		return Fig2Result{}, fmt.Errorf("experiments: better combo %s+%s not in ladders", betterVideo, betterAudio)
 	}
 	r := Fig2Result{
 		Outcome:        out,
-		Predetermined:  model.Combos(),
+		Predetermined:  spec.Model.(*exoplayer.DASH).Combos(),
 		Dominant:       DominantCombo(out.Result),
 		BetterExcluded: better,
 		BetterFits:     better.DeclaredBitrate() <= trace.Fig2Bandwidth().RateAt(0),
@@ -93,28 +92,28 @@ type Fig3Result struct {
 // Fig3 runs the first ExoPlayer HLS experiment: manifest H_sub with A3
 // listed first, over the time-varying average-600 Kbps link. The audio
 // stays pinned at A3, stalls accumulate, and selected pairs leave the
-// manifest's subset.
-func Fig3() (Fig3Result, error) {
-	return Fig3Traced(nil)
+// manifest's subset. A non-nil rec records the session's flight-recorder
+// timeline — the one the docs' stall-diagnosis walkthrough is drawn from.
+func Fig3(rec *timeline.Recorder) (Fig3Result, error) {
+	content := media.DramaShow()
+	return exoHLS(content, core.ManifestOptions{AudioOrder: a3First(content)}, trace.Fig3VaryingAvg600(), rec)
 }
 
-// Fig3Traced is Fig3 with a flight recorder attached — the timeline the
-// docs' stall-diagnosis walkthrough is drawn from.
-func Fig3Traced(rec *timeline.Recorder) (Fig3Result, error) {
-	content := media.DramaShow()
-	order := []*media.Track{content.AudioTracks[2], content.AudioTracks[1], content.AudioTracks[0]}
-	combos, parsedOrder, err := hlsMaster(content, media.HSub(content), order)
+// exoHLS runs ExoPlayer-HLS on one master playlist and link, reporting
+// the rendition it pinned.
+func exoHLS(content *media.Content, mo core.ManifestOptions, profile trace.Profile, rec *timeline.Recorder) (Fig3Result, error) {
+	spec, _, err := soloSpec(core.ExoPlayerHLS, content, mo, profile)
 	if err != nil {
 		return Fig3Result{}, err
 	}
-	model := exoplayer.NewHLS(combos, parsedOrder)
-	out, err := RunRecorded(content, trace.Fig3VaryingAvg600(), model, combos, rec)
+	spec.Recorder = rec
+	out, err := play(spec, true)
 	if err != nil {
 		return Fig3Result{}, err
 	}
 	return Fig3Result{
 		Outcome:           out,
-		FixedAudio:        model.FixedAudio().ID,
+		FixedAudio:        spec.Model.(*exoplayer.HLS).FixedAudio().ID,
 		AudioTrackChanges: out.Metrics.AudioSwitches,
 		OffManifestChunks: out.Metrics.OffManifest,
 		Timeline:          Timeline(out.Result),
@@ -126,23 +125,8 @@ func Fig3Traced(rec *timeline.Recorder) (Fig3Result, error) {
 // streams the lowest-quality audio for the whole session despite the
 // ample bandwidth.
 func ExoHLSLowFirst() (Fig3Result, error) {
-	content := media.DramaShow()
-	combos, parsedOrder, err := hlsMaster(content, media.HSub(content), nil) // ladder order: A1 first
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	model := exoplayer.NewHLS(combos, parsedOrder)
-	out, err := Run(content, trace.ExoHLSFixedBandwidth(), model, combos)
-	if err != nil {
-		return Fig3Result{}, err
-	}
-	return Fig3Result{
-		Outcome:           out,
-		FixedAudio:        model.FixedAudio().ID,
-		AudioTrackChanges: out.Metrics.AudioSwitches,
-		OffManifestChunks: out.Metrics.OffManifest,
-		Timeline:          Timeline(out.Result),
-	}, nil
+	// The default rendition order is the ladder order: A1 first.
+	return exoHLS(media.DramaShow(), core.ManifestOptions{}, trace.ExoHLSFixedBandwidth(), nil)
 }
 
 // Fig4Result captures a Shaka experiment of Fig. 4.
@@ -177,18 +161,17 @@ func Fig4b() (Fig4Result, error) {
 
 func runFig4(profile trace.Profile) (Fig4Result, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HAll(content), nil)
+	spec, _, err := soloSpec(core.Shaka, content, core.ManifestOptions{Combos: media.HAll(content)}, profile)
 	if err != nil {
 		return Fig4Result{}, err
 	}
-	model := shaka.NewHLS(combos)
-	out, err := Run(content, profile, model, combos)
+	out, err := play(spec, true)
 	if err != nil {
 		return Fig4Result{}, err
 	}
 	r := Fig4Result{
 		Outcome:        out,
-		AnyValidSample: model.HasValidSample(),
+		AnyValidSample: spec.Model.(*shaka.Player).HasValidSample(),
 		Dominant:       DominantCombo(out.Result),
 		Timeline:       Timeline(out.Result),
 	}
@@ -218,13 +201,11 @@ type Fig5Result struct {
 // across pairings including the undesirable V2+A3, and the audio and video
 // buffers diverge.
 func Fig5() (Fig5Result, error) {
-	content := media.DramaShow()
-	video, audio, err := dashLadders(content)
+	spec, m, err := soloSpec(core.DashJS, media.DramaShow(), core.ManifestOptions{}, trace.Fig5Bandwidth())
 	if err != nil {
 		return Fig5Result{}, err
 	}
-	model := dashjs.New(video, audio)
-	out, err := Run(content, trace.Fig5Bandwidth(), model, nil)
+	out, err := play(spec, true)
 	if err != nil {
 		return Fig5Result{}, err
 	}
@@ -234,9 +215,9 @@ func Fig5() (Fig5Result, error) {
 		MaxImbalance: out.Result.MaxBufferImbalance(),
 		Timeline:     Timeline(out.Result),
 	}
-	topAudio := audio[len(audio)-1]
+	topAudio := m.Audio[len(m.Audio)-1]
 	for _, cb := range r.Combos {
-		if cb.Audio.ID == topAudio.ID && video.Index(cb.Video) <= 1 {
+		if cb.Audio.ID == topAudio.ID && m.Video.Index(cb.Video) <= 1 {
 			r.UndesirablePairings = append(r.UndesirablePairings, cb)
 		}
 	}

@@ -58,19 +58,14 @@ type FleetScalePoint struct {
 	Completed int
 }
 
-// FleetScale runs the scale sweep serially-equivalent at GOMAXPROCS
-// workers.
-func FleetScale(ns []int) ([]FleetScalePoint, error) {
-	return FleetScaleParallel(ns, 0)
-}
-
-// FleetScaleParallel runs every fleet size under both packaging modes —
-// the packaging-at-scale comparison: demuxed packaging's shared-cache
+// FleetScale runs every fleet size under both packaging modes — the
+// packaging-at-scale comparison: demuxed packaging's shared-cache
 // amplification grows with N while muxed combination objects fragment the
-// cache. Each (N, mode) job is one independent co-simulation on its own
-// engine; collection is in job-submission order, so output is
-// byte-identical at any worker count.
-func FleetScaleParallel(ns []int, parallel int) ([]FleetScalePoint, error) {
+// cache. parallel is the worker count (0 = GOMAXPROCS, 1 = serial). Each
+// (N, mode) job is one independent co-simulation on its own engine;
+// collection is in job-submission order, so output is byte-identical at
+// any worker count.
+func FleetScale(ns []int, parallel int) ([]FleetScalePoint, error) {
 	modes := []cdnsim.Mode{cdnsim.Demuxed, cdnsim.Muxed}
 	return runpool.Map(parallel, len(ns)*len(modes), func(i int) (FleetScalePoint, error) {
 		ni, mi := i/len(modes), i%len(modes)
@@ -92,9 +87,10 @@ type FleetMix struct {
 	Mix  []core.PlayerKind
 }
 
-// FleetMixes returns the compositions compared at fixed fleet size: each
-// joint model running homogeneously, then all of them sharing one edge.
-func FleetMixes() []FleetMix {
+// FleetCompositions returns the compositions compared at fixed fleet size:
+// each joint model running homogeneously, then all of them sharing one
+// edge.
+func FleetCompositions() []FleetMix {
 	return []FleetMix{
 		{"bestpractice", []core.PlayerKind{core.BestPractice}},
 		{"bola-joint", []core.PlayerKind{core.BolaJoint}},
@@ -113,10 +109,10 @@ type FleetMixPoint struct {
 	Completed int
 }
 
-// FleetMixesParallel runs each composition as an n-session demuxed fleet on
-// the default contended topology.
-func FleetMixesParallel(n, parallel int) ([]FleetMixPoint, error) {
-	mixes := FleetMixes()
+// FleetMixes runs each composition as an n-session demuxed fleet on the
+// default contended topology, with the given worker count.
+func FleetMixes(n, parallel int) ([]FleetMixPoint, error) {
+	mixes := FleetCompositions()
 	return runpool.Map(parallel, len(mixes), func(i int) (FleetMixPoint, error) {
 		cfg := defaultFleetConfig(n, cdnsim.Demuxed)
 		cfg.Mix = mixes[i].Mix
@@ -203,11 +199,17 @@ func DefaultFleetScaleNs() []int { return []int{1_000, 10_000, 100_000} }
 // O(shards + sketch) at any N. Output is byte-identical for every shards
 // value.
 func FleetAtScale(n, shards int) (*fleet.Result, error) {
+	return fleet.Run(atScaleConfig(n, shards))
+}
+
+// atScaleConfig is the FleetAtScale topology, which its live and transport
+// variants dress further.
+func atScaleConfig(n, shards int) fleet.Config {
 	cfg := defaultFleetConfig(n, cdnsim.Demuxed)
 	cfg.CellSessions = FleetCellSessions
 	cfg.Shards = shards
 	cfg.MaxRetained = -1 // stream at every N: the scale rows measure one path
-	return fleet.Run(cfg)
+	return cfg
 }
 
 // PrintFleetAtScale renders one large-fleet run's aggregates.

@@ -6,13 +6,8 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/dashjs"
-	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/shaping"
 	"demuxabr/internal/trace"
@@ -56,19 +51,26 @@ func ladderBaseSpec() media.ContentSpec {
 	}
 }
 
-// LadderVariant is one offline preparation of the title, with its player
-// constructors built from the manifests that preparation produces.
+// LadderVariant is one offline preparation of the title, with the
+// manifests that preparation produces parsed for the ladder kinds.
 type LadderVariant struct {
 	// Name identifies the preparation: fixed-uniform, shaped-chunks,
 	// shaped-ladder.
 	Name string
 	// Content is the synthesized asset.
 	Content *media.Content
-	// Allowed is the curated combination list parsed back from the
-	// variant's master playlist.
-	Allowed []media.Combo
+	// Manifests are the variant's manifests parsed back for the ladder
+	// kinds; Manifests.Combos is its curated combination list.
+	Manifests *core.Manifests
+}
 
-	specs []modelSpec
+// ladderKinds are the per-type players of the family: dash.js from the MPD
+// (whose SegmentTimeline declares the variable chunking) and the
+// best-practice independent scheduler from the H_sub master playlist.
+// Joint and muxed models are deliberately absent — they require aligned
+// timelines, which the shaped preparations give up on purpose.
+func ladderKinds() []core.PlayerKind {
+	return []core.PlayerKind{core.DashJS, core.BestPracticeIndependent}
 }
 
 // LadderCell is one cross-product entry: a preparation streamed by one
@@ -128,56 +130,40 @@ func LadderVariants() ([]LadderVariant, *shaping.Plan, error) {
 	return variants, plan, nil
 }
 
-// newLadderVariant synthesizes the content and round-trips its manifests
-// into the per-type player constructors: dash.js from the MPD (whose
-// SegmentTimeline declares the variable chunking), the best-practice
-// independent scheduler from the H_sub master playlist. Joint and muxed
-// models are deliberately absent — they require aligned timelines, which
-// the shaped preparations give up on purpose.
+// newLadderVariant synthesizes the content and parses its manifests for
+// the ladder kinds.
 func newLadderVariant(name string, spec media.ContentSpec) (LadderVariant, error) {
 	c, err := media.NewContent(spec)
 	if err != nil {
 		return LadderVariant{}, err
 	}
-	video, audio, err := dashLadders(c)
+	m, err := core.ParseManifests(c, core.ManifestOptions{}, ladderKinds()...)
 	if err != nil {
 		return LadderVariant{}, err
 	}
-	combos, _, err := hlsMaster(c, media.HSub(c), nil)
-	if err != nil {
-		return LadderVariant{}, err
-	}
-	return LadderVariant{
-		Name:    name,
-		Content: c,
-		Allowed: combos,
-		specs: []modelSpec{
-			{"dashjs", func() abr.Algorithm { return dashjs.New(video, audio) }},
-			{"bestpractice-independent", func() abr.Algorithm { return jointabr.NewIndependent(combos) }},
-		},
-	}, nil
+	return LadderVariant{Name: name, Content: c, Manifests: m}, nil
 }
 
-// LadderCross runs the full cross-product. Cells keep variant-major order;
-// output is identical at any worker count.
+// LadderCross runs the full cross-product over the family's constrained
+// link with the per-request RTT applied, with the given worker count.
+// Cells keep variant-major order; output is identical at any worker count.
 func LadderCross(parallel int) ([]LadderCell, *shaping.Plan, error) {
 	variants, plan, err := LadderVariants()
 	if err != nil {
 		return nil, nil, err
 	}
-	type job struct{ v, m int }
-	var jobs []job
-	for i, v := range variants {
-		for j := range v.specs {
-			jobs = append(jobs, job{i, j})
-		}
-	}
-	cells, err := runpool.Map(parallel, len(jobs), func(k int) (LadderCell, error) {
-		v := variants[jobs[k].v]
-		sp := v.specs[jobs[k].m]
-		out, err := ladderSession(v.Content, sp.build(), v.Allowed)
+	kinds := ladderKinds()
+	profile := trace.Fixed(media.Kbps(LadderKbps))
+	cells, err := runpool.Map(parallel, len(variants)*len(kinds), func(k int) (LadderCell, error) {
+		v, kind := variants[k/len(kinds)], kinds[k%len(kinds)]
+		spec, err := kindSpec(v.Manifests, kind, v.Content, profile)
 		if err != nil {
-			return LadderCell{}, fmt.Errorf("experiments: ladder %s/%s: %w", v.Name, sp.name, err)
+			return LadderCell{}, err
+		}
+		spec.RTT = LadderRTT
+		out, err := play(spec, true)
+		if err != nil {
+			return LadderCell{}, fmt.Errorf("experiments: ladder %s/%s: %w", v.Name, kind, err)
 		}
 		return LadderCell{
 			Variant:     v.Name,
@@ -191,26 +177,6 @@ func LadderCross(parallel int) ([]LadderCell, *shaping.Plan, error) {
 		return nil, nil, err
 	}
 	return cells, plan, nil
-}
-
-// ladderSession streams one preparation over the family's constrained link
-// with the per-request RTT applied.
-func ladderSession(c *media.Content, model abr.Algorithm, allowed []media.Combo) (Outcome, error) {
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(LadderKbps)))
-	link.RTT = LadderRTT
-	res, err := player.Run(link, player.Config{Content: c, Model: model})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if !res.Ended {
-		return Outcome{}, fmt.Errorf("%s: session did not finish", model.Name())
-	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, c, allowed, qoe.DefaultWeights()),
-	}, nil
 }
 
 // PrintLadder renders the cross-product table plus the plan summary.

@@ -6,15 +6,11 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/lowlat"
-	"demuxabr/internal/cdnsim"
 	"demuxabr/internal/core"
 	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
 )
@@ -110,40 +106,32 @@ func (c LiveCell) LatencyError() time.Duration {
 // LiveComparison runs the low-latency trio under the latency-target player:
 // the dash.js-default control (no latency feedback), L2A (hard reaction,
 // lowest latency, more stalls), and LoL+ (conservative, fewest stalls,
-// closest to target).
-func LiveComparison() ([]LiveCell, error) {
-	return LiveComparisonParallel(0)
-}
-
-// LiveComparisonParallel is LiveComparison with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Each cell runs its traces serially on
-// private engines, so cells are byte-identical at any worker count and come
-// back in LiveModels order.
-func LiveComparisonParallel(parallel int) ([]LiveCell, error) {
+// closest to target). parallel is the worker count (0 = GOMAXPROCS, 1 =
+// serial). Each cell runs its traces serially on private engines, so cells
+// are byte-identical at any worker count and come back in LiveModels order.
+func LiveComparison(parallel int) ([]LiveCell, error) {
 	content := media.DramaShow()
 	models := LiveModels()
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, models...)
+	if err != nil {
+		return nil, err
+	}
 	return runpool.Map(parallel, len(models), func(i int) (LiveCell, error) {
 		cell := LiveCell{Model: models[i], Seeds: LiveTraceSeeds}
 		for s := 0; s < LiveTraceSeeds; s++ {
-			model, combos, err := core.BuildModel(models[i], content, core.ManifestOptions{})
+			spec, err := kindSpec(m, models[i], content, liveWalk(s))
 			if err != nil {
 				return LiveCell{}, fmt.Errorf("live %s: %w", models[i], err)
 			}
-			eng := netsim.NewEngine()
-			link := netsim.NewLink(eng, liveWalk(s))
-			res, err := player.Run(link, player.Config{
-				Content: content,
-				Model:   model,
-				Live:    LiveConfig(),
-			})
+			spec.Live = LiveConfig()
+			out, err := play(spec, false)
 			if err != nil {
 				return LiveCell{}, fmt.Errorf("live %s seed %d: %w", models[i], s, err)
 			}
-			l := res.Live
+			res, l := out.Result, out.Result.Live
 			if l == nil {
 				return LiveCell{}, fmt.Errorf("live %s seed %d: session carried no live stats", models[i], s)
 			}
-			m := qoe.Compute(res, content, combos, qoe.DefaultWeights())
 			cell.MeanLatency += l.MeanLatency
 			cell.FinalLatency += l.FinalLatency
 			if l.MaxLatency > cell.MaxLatency {
@@ -155,8 +143,8 @@ func LiveComparisonParallel(parallel int) ([]LiveCell, error) {
 			cell.Skipped += l.SkippedTime
 			cell.RateChanges += l.RateChanges
 			cell.MeanRate += l.MeanRate
-			cell.VideoQuality += m.AvgVideoQuality
-			cell.Score += m.Score
+			cell.VideoQuality += out.Metrics.AvgVideoQuality
+			cell.Score += out.Metrics.Score
 		}
 		n := time.Duration(LiveTraceSeeds)
 		cell.MeanLatency /= n
@@ -198,55 +186,40 @@ func (c LiveTransportCell) DeadAir() time.Duration { return c.Startup + c.Rebuff
 // three HTTP generations, live. Scenarios and pinning follow the transport
 // experiment (see transportCombo): the question is what the transport costs
 // each packaging mode when the session must also hold a latency target.
-func LiveTransport() ([]LiveTransportCell, error) {
-	return LiveTransportParallel(0)
-}
-
-// LiveTransportParallel is LiveTransport with an explicit worker count.
-// Cells come back in the fixed order: scenarios outer, protocols inner.
-func LiveTransportParallel(parallel int) ([]LiveTransportCell, error) {
+// parallel is the worker count; cells come back in the fixed order:
+// scenarios outer, protocols inner.
+func LiveTransport(parallel int) ([]LiveTransportCell, error) {
 	content := media.DramaShow()
-	combo := transportCombo(content)
-	scens := []struct {
-		name  string
-		muxed bool
-		build func() abr.Algorithm
-	}{
-		{"muxed", true, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-synced", false, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-independent", false, func() abr.Algorithm { return &pinnedPerType{combo: combo} }},
-	}
+	scens := transportScenarios(content)
 	protos := TransportProtocols()
 	return runpool.Map(parallel, len(scens)*len(protos), func(i int) (LiveTransportCell, error) {
 		si, pi := i/len(protos), i%len(protos)
 		cell := LiveTransportCell{Scenario: scens[si].name, Protocol: protos[pi], Seeds: LiveTraceSeeds}
 		for s := 0; s < LiveTraceSeeds; s++ {
 			tc := transportConfig(protos[pi], s)
-			eng := netsim.NewEngine()
-			link := netsim.NewLink(eng, transportWalk(s))
-			link.RTT = TransportRTT
-			res, err := player.Run(link, player.Config{
+			out, err := play(core.Spec{
 				Content:   content,
+				Profile:   transportWalk(s),
 				Model:     scens[si].build(),
 				Muxed:     scens[si].muxed,
+				RTT:       TransportRTT,
 				Transport: &tc,
 				Live:      LiveConfig(),
-			})
+			}, false)
 			if err != nil {
 				return LiveTransportCell{}, fmt.Errorf("live transport %s/%s seed %d: %w", scens[si].name, protos[pi], s, err)
 			}
-			l := res.Live
+			l := out.Result.Live
 			if l == nil {
 				return LiveTransportCell{}, fmt.Errorf("live transport %s/%s seed %d: session carried no live stats", scens[si].name, protos[pi], s)
 			}
-			m := qoe.Compute(res, content, nil, qoe.DefaultWeights())
-			cell.Startup += m.StartupDelay
-			cell.Rebuffer += m.RebufferTime
+			cell.Startup += out.Metrics.StartupDelay
+			cell.Rebuffer += out.Metrics.RebufferTime
 			cell.MeanLatency += l.MeanLatency
 			cell.FinalLatency += l.FinalLatency
 			cell.Resyncs += l.Resyncs
 			cell.Skipped += l.SkippedTime
-			if t := res.Transport; t != nil {
+			if t := out.Result.Transport; t != nil {
 				cell.ConnStall += t.HandshakeWait + t.HoLWait
 			}
 		}
@@ -286,20 +259,16 @@ func (d LiveTransportDelta) Total() time.Duration { return d.Latency + d.DeadAir
 // out on their own clocks and every re-handshake lands inside the latency
 // budget — and narrows under h3's multiplexed 0-RTT connection.
 func LiveTransportDeltas(cells []LiveTransportCell) map[netsim.Protocol]LiveTransportDelta {
-	byCell := map[string]map[netsim.Protocol]LiveTransportCell{}
-	for _, c := range cells {
-		if byCell[c.Scenario] == nil {
-			byCell[c.Scenario] = map[netsim.Protocol]LiveTransportCell{}
-		}
-		byCell[c.Scenario][c.Protocol] = c
-	}
 	out := map[netsim.Protocol]LiveTransportDelta{}
-	for _, p := range TransportProtocols() {
-		d, m := byCell["demux-independent"][p], byCell["muxed"][p]
-		out[p] = LiveTransportDelta{
-			Latency:   d.MeanLatency - m.MeanLatency,
-			DeadAir:   d.DeadAir() - m.DeadAir(),
-			ConnStall: d.ConnStall - m.ConnStall,
+	for _, d := range cells {
+		for _, m := range cells {
+			if d.Scenario == "demux-independent" && m.Scenario == "muxed" && d.Protocol == m.Protocol {
+				out[d.Protocol] = LiveTransportDelta{
+					Latency:   d.MeanLatency - m.MeanLatency,
+					DeadAir:   d.DeadAir() - m.DeadAir(),
+					ConnStall: d.ConnStall - m.ConnStall,
+				}
+			}
 		}
 	}
 	return out
@@ -350,15 +319,8 @@ func PrintLive(w io.Writer, cells []LiveCell, tcells []LiveTransportCell) {
 // FleetAtScaleLive is FleetAtScale with every session running the
 // low-latency trio round-robin in latency-target live mode.
 func FleetAtScaleLive(n, shards int) (*fleet.Result, error) {
-	cfg := defaultFleetConfig(n, cdnsim.Demuxed)
+	cfg := atScaleConfig(n, shards)
 	cfg.Mix = LiveModels()
 	cfg.Live = LiveConfig()
-	cfg.CellSessions = FleetCellSessions
-	cfg.Shards = shards
-	cfg.MaxRetained = -1
 	return fleet.Run(cfg)
 }
-
-// Silence an unused-import error if lowlat stops being referenced directly;
-// the trio is normally constructed through core.BuildModel.
-var _ = lowlat.LiveWindow

@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
-	"demuxabr/internal/abr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
 )
@@ -18,28 +14,6 @@ import (
 // ResilienceSeed keys every resilience experiment's fault plan, so the
 // sweep and the policy comparison face the identical failure sequence.
 const ResilienceSeed = 1009
-
-// RunResilient executes one streaming session under a fault plan. Unlike
-// Run it tolerates sessions that do not finish — an abandoned or aborted
-// session IS the measurement when faults are in play.
-func RunResilient(content *media.Content, profile trace.Profile, model abr.Algorithm, allowed []media.Combo, plan *faults.Plan, pol *faults.Policy) (Outcome, error) {
-	eng := netsim.NewEngine()
-	link := netsim.NewLink(eng, profile)
-	res, err := player.Run(link, player.Config{
-		Content:    content,
-		Model:      model,
-		FaultPlan:  plan,
-		Robustness: pol,
-	})
-	if err != nil {
-		return Outcome{}, fmt.Errorf("experiments: %s: %w", model.Name(), err)
-	}
-	return Outcome{
-		Model:   model.Name(),
-		Result:  res,
-		Metrics: qoe.Compute(res, content, allowed, qoe.DefaultWeights()),
-	}, nil
-}
 
 // ResiliencePoint is one (fault rate, player) cell of the resilience sweep.
 type ResiliencePoint struct {
@@ -55,28 +29,31 @@ func DefaultFaultRates() []float64 {
 	return []float64{0, 0.005, 0.01, 0.02, 0.05}
 }
 
-// ResilienceSweep runs every player model under each per-segment fault
-// rate on the varying-600 trace, all with the default robustness policy —
-// who degrades how, under identical failure sequences.
-func ResilienceSweep(rates []float64) ([]ResiliencePoint, error) {
-	return ResilienceSweepParallel(rates, 0)
-}
-
-// ResilienceSweepParallel is ResilienceSweep with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Fault plans are hash-seeded per (track,
-// chunk), so the points are byte-identical at any worker count; they come
-// back in the serial order: rates outer, models inner.
-func ResilienceSweepParallel(rates []float64, parallel int) ([]ResiliencePoint, error) {
+// ResilienceSweep runs every compared player model under each
+// per-segment fault rate on the varying-600 trace, all with the default
+// robustness policy — who degrades how, under identical failure sequences
+// — with the given worker count (0 = GOMAXPROCS, 1 = serial). Sessions
+// that do not finish are kept: an aborted session is the measurement.
+// Fault plans are hash-seeded per (track, chunk), so the points are
+// byte-identical at any worker count; they come back in the serial order:
+// rates outer, models inner.
+func ResilienceSweep(rates []float64, parallel int) ([]ResiliencePoint, error) {
 	content := media.DramaShow()
-	specs, allowed, err := modelSpecs(content)
+	m, err := parseCompared(content)
 	if err != nil {
 		return nil, err
 	}
+	kinds := comparedKinds()
 	pol := faults.DefaultPolicy()
-	return runpool.Map(parallel, len(rates)*len(specs), func(i int) (ResiliencePoint, error) {
-		ri, mi := i/len(specs), i%len(specs)
-		plan := &faults.Plan{Seed: ResilienceSeed, Rate: rates[ri]}
-		out, err := RunResilient(content, trace.Fig3VaryingAvg600(), specs[mi].build(), allowed, plan, &pol)
+	return runpool.Map(parallel, len(rates)*len(kinds), func(i int) (ResiliencePoint, error) {
+		ri, mi := i/len(kinds), i%len(kinds)
+		spec, err := kindSpec(m, kinds[mi], content, trace.Fig3VaryingAvg600())
+		if err != nil {
+			return ResiliencePoint{}, err
+		}
+		spec.Faults = &faults.Plan{Seed: ResilienceSeed, Rate: rates[ri]}
+		spec.Robustness = &pol
+		out, err := play(spec, false)
 		if err != nil {
 			return ResiliencePoint{}, fmt.Errorf("resilience rate %v: %w", rates[ri], err)
 		}
@@ -87,56 +64,23 @@ func ResilienceSweepParallel(rates []float64, parallel int) ([]ResiliencePoint, 
 // PrintResilience renders the sweep as matrices over fault rate: session
 // outcome with QoE, rebuffering, and the repair work performed.
 func PrintResilience(w io.Writer, points []ResiliencePoint) {
-	ncols := 0
-	for _, p := range points {
-		if p.RateIndex+1 > ncols {
-			ncols = p.RateIndex + 1
-		}
+	cells := make([]matrixCell, len(points))
+	for i, p := range points {
+		cells[i] = matrixCell{col: p.RateIndex, label: fmt.Sprintf("%.1f%%", p.Rate*100), out: p.Outcome}
 	}
-	rates := make([]float64, ncols)
-	var models []string
-	seen := map[string]bool{}
-	cells := map[string][]Outcome{}
-	for _, p := range points {
-		rates[p.RateIndex] = p.Rate
-		if !seen[p.Outcome.Model] {
-			seen[p.Outcome.Model] = true
-			models = append(models, p.Outcome.Model)
-			cells[p.Outcome.Model] = make([]Outcome, ncols)
-		}
-		cells[p.Outcome.Model][p.RateIndex] = p.Outcome
-	}
-	write := func(title string, value func(Outcome) string) {
-		fmt.Fprintln(w, title)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprint(tw, "Model")
-		for _, r := range rates {
-			fmt.Fprintf(tw, "\t%.1f%%", r*100)
-		}
-		fmt.Fprintln(tw)
-		for _, m := range models {
-			fmt.Fprint(tw, m)
-			for i := range rates {
-				fmt.Fprintf(tw, "\t%s", value(cells[m][i]))
+	printMatrix(w, cells,
+		matrixSection{"QoE score by per-segment fault rate (abort = session cut short):", func(o Outcome) string {
+			if o.Result.Aborted {
+				return "abort"
 			}
-			fmt.Fprintln(tw)
-		}
-		tw.Flush()
-	}
-	write("QoE score by per-segment fault rate (abort = session cut short):", func(o Outcome) string {
-		if o.Result.Aborted {
-			return "abort"
-		}
-		return fmt.Sprintf("%.2f", o.Metrics.Score)
-	})
-	fmt.Fprintln(w)
-	write("Rebuffering seconds by fault rate:", func(o Outcome) string {
-		return fmt.Sprintf("%.1f", o.Result.RebufferTime().Seconds())
-	})
-	fmt.Fprintln(w)
-	write("Repair work (faults/retries/failovers) by fault rate:", func(o Outcome) string {
-		return fmt.Sprintf("%d/%d/%d", len(o.Result.Faults), o.Result.Retries, len(o.Result.Failovers))
-	})
+			return fmt.Sprintf("%.2f", o.Metrics.Score)
+		}},
+		matrixSection{"Rebuffering seconds by fault rate:", func(o Outcome) string {
+			return fmt.Sprintf("%.1f", o.Result.RebufferTime().Seconds())
+		}},
+		matrixSection{"Repair work (faults/retries/failovers) by fault rate:", func(o Outcome) string {
+			return fmt.Sprintf("%d/%d/%d", len(o.Result.Faults), o.Result.Retries, len(o.Result.Failovers))
+		}})
 }
 
 // PolicyResilience is the best-practice player at a 1% per-segment fault
@@ -146,24 +90,24 @@ func PrintResilience(w io.Writer, points []ResiliencePoint) {
 // depending only on its download-error handling.
 func PolicyResilience() (on, off Outcome, err error) {
 	content := media.DramaShow()
-	specs, allowed, err := modelSpecs(content)
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, core.BestPractice)
 	if err != nil {
 		return Outcome{}, Outcome{}, err
 	}
-	var build func() abr.Algorithm
-	for _, sp := range specs {
-		if sp.name == "bestpractice" {
-			build = sp.build
+	run := func(pol *faults.Policy) (Outcome, error) {
+		spec, err := kindSpec(m, core.BestPractice, content, trace.Fig3VaryingAvg600())
+		if err != nil {
+			return Outcome{}, err
 		}
+		spec.Faults = &faults.Plan{Seed: ResilienceSeed, Rate: 0.01}
+		spec.Robustness = pol
+		return play(spec, false)
 	}
-	plan := &faults.Plan{Seed: ResilienceSeed, Rate: 0.01}
 	pol := faults.DefaultPolicy()
-	on, err = RunResilient(content, trace.Fig3VaryingAvg600(), build(), allowed, plan, &pol)
-	if err != nil {
+	if on, err = run(&pol); err != nil {
 		return Outcome{}, Outcome{}, err
 	}
-	off, err = RunResilient(content, trace.Fig3VaryingAvg600(), build(), allowed, plan, nil)
-	if err != nil {
+	if off, err = run(nil); err != nil {
 		return Outcome{}, Outcome{}, err
 	}
 	return on, off, nil

@@ -31,7 +31,7 @@ func TestPolicyResilienceAcceptance(t *testing.T) {
 
 func resilienceText(t *testing.T, parallel int) string {
 	t.Helper()
-	points, err := ResilienceSweepParallel([]float64{0, 0.02}, parallel)
+	points, err := ResilienceSweep([]float64{0, 0.02}, parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestResilienceSweepParallelEquivalence(t *testing.T) {
 }
 
 func TestResilienceSweepZeroRateCompletes(t *testing.T) {
-	points, err := ResilienceSweepParallel([]float64{0}, 0)
+	points, err := ResilienceSweep([]float64{0}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

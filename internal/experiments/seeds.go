@@ -5,9 +5,8 @@ import (
 	"time"
 
 	"demuxabr/internal/abr/jointabr"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
-	"demuxabr/internal/netsim"
-	"demuxabr/internal/player"
 	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/stats"
@@ -23,57 +22,54 @@ type SeedSummary struct {
 	VideoKbps stats.Summary
 }
 
-// SeedSweep runs every player model over n seeded random-walk traces
-// (400–2500 Kbps, 4 s re-draws) and summarizes the distributions. Each
-// (model, seed) run is deterministic, so the whole sweep is reproducible.
-func SeedSweep(n int) ([]SeedSummary, error) { return SeedSweepParallel(n, 0) }
-
-// SeedSweepParallel is SeedSweep with an explicit worker count (0 =
-// GOMAXPROCS, 1 = serial). Every (seed, model) pair is one job with its
-// own engine and its own trace rebuilt from the seed; the per-model
-// sample vectors are then accumulated in submission order (seeds outer,
-// models inner), so the summaries match the serial sweep exactly.
-func SeedSweepParallel(n, parallel int) ([]SeedSummary, error) {
+// SeedSweep runs every compared player model over n seeded random-walk
+// traces (400–2500 Kbps, 4 s re-draws) and summarizes the distributions,
+// with the given worker count (0 = GOMAXPROCS, 1 = serial). Every (seed,
+// model) pair is one job with its own engine; each seed's walk is built
+// once and only read by the jobs, and the per-model sample vectors are
+// accumulated in submission order (seeds outer, models inner), so the
+// summaries match the serial sweep exactly.
+func SeedSweep(n, parallel int) ([]SeedSummary, error) {
 	if n <= 0 {
 		n = 10
 	}
 	content := media.DramaShow()
-	specs, allowed, err := modelSpecs(content)
+	m, err := parseCompared(content)
 	if err != nil {
 		return nil, err
 	}
-	mets, err := runpool.Map(parallel, n*len(specs), func(i int) (qoe.Metrics, error) {
-		seed, mi := i/len(specs), i%len(specs)
-		// The random walk is a pure function of the seed, so rebuilding it
-		// per job reproduces the shared-profile serial sweep bit-for-bit.
-		profile := trace.RandomWalk(int64(seed)+1, media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute)
-		m := specs[mi].build()
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, profile)
-		res, err := player.Run(link, player.Config{Content: content, Model: m})
+	kinds := comparedKinds()
+	walks := make([]trace.Profile, n)
+	for seed := range walks {
+		walks[seed] = trace.RandomWalk(int64(seed)+1, media.Kbps(400), media.Kbps(2500), 4*time.Second, time.Minute)
+	}
+	mets, err := runpool.Map(parallel, n*len(kinds), func(i int) (qoe.Metrics, error) {
+		seed, mi := i/len(kinds), i%len(kinds)
+		spec, err := kindSpec(m, kinds[mi], content, walks[seed])
 		if err != nil {
-			return qoe.Metrics{}, fmt.Errorf("seed %d %s: %w", seed, m.Name(), err)
+			return qoe.Metrics{}, err
 		}
-		if !res.Ended {
-			return qoe.Metrics{}, fmt.Errorf("seed %d %s: did not finish", seed, m.Name())
+		out, err := play(spec, true)
+		if err != nil {
+			return qoe.Metrics{}, fmt.Errorf("seed %d: %w", seed, err)
 		}
-		return qoe.Compute(res, content, allowed, qoe.DefaultWeights()), nil
+		return out.Metrics, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	acc := make([]struct{ qoe, rebuffer, video []float64 }, len(specs))
+	acc := make([]struct{ qoe, rebuffer, video []float64 }, len(kinds))
 	for i, met := range mets {
-		a := &acc[i%len(specs)]
+		a := &acc[i%len(kinds)]
 		a.qoe = append(a.qoe, met.Score)
 		a.rebuffer = append(a.rebuffer, met.RebufferTime.Seconds())
 		a.video = append(a.video, met.AvgVideoBitrate.Kbps())
 	}
-	out := make([]SeedSummary, 0, len(specs))
-	for mi, sp := range specs {
+	out := make([]SeedSummary, 0, len(kinds))
+	for mi, k := range kinds {
 		a := acc[mi]
 		out = append(out, SeedSummary{
-			Model:     sp.name,
+			Model:     string(k),
 			QoE:       stats.Summarize(a.qoe),
 			Rebuffer:  stats.Summarize(a.rebuffer),
 			VideoKbps: stats.Summarize(a.video),
@@ -88,34 +84,30 @@ type StartupPoint struct {
 	StartupDelay time.Duration
 }
 
-// StartupDelays measures time-to-first-frame for every player model at the
-// given link rate. Startup is dominated by the initial selection: models
-// that start conservative (lowest combination) begin fastest; ExoPlayer's
-// 1 Mbps initial estimate starts mid-ladder and pays for it on slow links.
-func StartupDelays(kbps float64) ([]StartupPoint, error) {
-	return StartupDelaysParallel(kbps, 0)
-}
-
-// StartupDelaysParallel is StartupDelays with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial).
-func StartupDelaysParallel(kbps float64, parallel int) ([]StartupPoint, error) {
+// StartupDelays measures time-to-first-frame for every compared player
+// model at the given link rate, with the given worker count (0 =
+// GOMAXPROCS, 1 = serial). Startup is dominated by the initial selection:
+// models that start conservative (lowest combination) begin fastest;
+// ExoPlayer's 1 Mbps initial estimate starts mid-ladder and pays for it on
+// slow links.
+func StartupDelays(kbps float64, parallel int) ([]StartupPoint, error) {
 	content := media.DramaShow()
-	specs, _, err := modelSpecs(content)
+	m, err := parseCompared(content)
 	if err != nil {
 		return nil, err
 	}
-	return runpool.Map(parallel, len(specs), func(i int) (StartupPoint, error) {
-		m := specs[i].build()
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(kbps)))
-		res, err := player.Run(link, player.Config{Content: content, Model: m})
+	kinds := comparedKinds()
+	profile := trace.Fixed(media.Kbps(kbps))
+	return runpool.Map(parallel, len(kinds), func(i int) (StartupPoint, error) {
+		spec, err := kindSpec(m, kinds[i], content, profile)
 		if err != nil {
 			return StartupPoint{}, err
 		}
-		if !res.Ended {
-			return StartupPoint{}, fmt.Errorf("experiments: %s did not finish", m.Name())
+		out, err := play(spec, true)
+		if err != nil {
+			return StartupPoint{}, err
 		}
-		return StartupPoint{Model: m.Name(), StartupDelay: res.StartupDelay}, nil
+		return StartupPoint{Model: out.Model, StartupDelay: out.Result.StartupDelay}, nil
 	})
 }
 
@@ -127,39 +119,26 @@ type ParetoPoint struct {
 }
 
 // SafetyFactorSweep runs the best-practice player across safety factors on
-// the Fig 3 link — the frontier an operator picks an operating point from.
-func SafetyFactorSweep(factors []float64) ([]ParetoPoint, error) {
-	return SafetyFactorSweepParallel(factors, 0)
-}
-
-// SafetyFactorSweepParallel is SafetyFactorSweep with an explicit worker
-// count (0 = GOMAXPROCS, 1 = serial). The master playlist round-trip is
-// factor-independent and done once; each factor's session is one job.
-func SafetyFactorSweepParallel(factors []float64, parallel int) ([]ParetoPoint, error) {
+// the Fig 3 link — the frontier an operator picks an operating point from
+// — with the given worker count (0 = GOMAXPROCS, 1 = serial). The master
+// playlist is parsed once; each factor's session is one job.
+func SafetyFactorSweep(factors []float64, parallel int) ([]ParetoPoint, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, core.BestPractice)
 	if err != nil {
 		return nil, err
 	}
 	return runpool.Map(parallel, len(factors), func(i int) (ParetoPoint, error) {
 		f := factors[i]
-		model := jointabr.New(combos, jointabr.WithSafetyFactor(f))
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		res, err := player.Run(link, player.Config{Content: content, Model: model})
+		out, err := play(core.Spec{
+			Content:  content,
+			Profile:  trace.Fig3VaryingAvg600(),
+			Model:    jointabr.New(m.Combos, jointabr.WithSafetyFactor(f)),
+			Manifest: core.ManifestOptions{Combos: m.Combos},
+		}, true)
 		if err != nil {
-			return ParetoPoint{}, err
+			return ParetoPoint{}, fmt.Errorf("safety factor %v: %w", f, err)
 		}
-		if !res.Ended {
-			return ParetoPoint{}, fmt.Errorf("experiments: safety factor %v did not finish", f)
-		}
-		return ParetoPoint{
-			SafetyFactor: f,
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		}, nil
+		return ParetoPoint{SafetyFactor: f, Outcome: out}, nil
 	})
 }

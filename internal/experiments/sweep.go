@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
 
 	"demuxabr/internal/media"
 	"demuxabr/internal/runpool"
@@ -29,31 +28,34 @@ func DefaultSweepKbps() []float64 {
 	return []float64{400, 600, 900, 1300, 2000, 3000, 4500}
 }
 
-// BandwidthSweep runs every player model at each fixed bandwidth — the
-// crossover analysis: who wins where across the operating range.
-func BandwidthSweep(kbps []float64) ([]SweepPoint, error) {
-	return BandwidthSweepParallel(kbps, 0)
-}
-
-// BandwidthSweepParallel is BandwidthSweep with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). The manifests are parsed once for the
-// whole sweep; each (bandwidth, model) job builds only its own model and
-// engine, and the points come back in the serial order: bandwidths outer,
-// models inner.
-func BandwidthSweepParallel(kbps []float64, parallel int) ([]SweepPoint, error) {
+// BandwidthSweep runs every compared player model at each fixed bandwidth
+// — the crossover analysis: who wins where across the operating range —
+// with the given worker count (0 = GOMAXPROCS, 1 = serial). The manifests
+// are parsed once for the whole sweep; each (bandwidth, model) job builds
+// only its own model and engine, and the points come back in the serial
+// order: bandwidths outer, models inner.
+func BandwidthSweep(kbps []float64, parallel int) ([]SweepPoint, error) {
 	content := media.DramaShow()
-	specs, allowed, err := modelSpecs(content)
+	m, err := parseCompared(content)
 	if err != nil {
 		return nil, err
 	}
-	return runpool.Map(parallel, len(kbps)*len(specs), func(i int) (SweepPoint, error) {
-		ki, mi := i/len(specs), i%len(specs)
-		k := kbps[ki]
-		out, err := Run(content, trace.Fixed(media.Kbps(k)), specs[mi].build(), allowed)
+	kinds := comparedKinds()
+	profiles := make([]trace.Profile, len(kbps))
+	for i, k := range kbps {
+		profiles[i] = trace.Fixed(media.Kbps(k))
+	}
+	return runpool.Map(parallel, len(kbps)*len(kinds), func(i int) (SweepPoint, error) {
+		ki, mi := i/len(kinds), i%len(kinds)
+		spec, err := kindSpec(m, kinds[mi], content, profiles[ki])
 		if err != nil {
-			return SweepPoint{}, fmt.Errorf("sweep %v Kbps: %w", k, err)
+			return SweepPoint{}, err
 		}
-		return SweepPoint{Kbps: k, KbpsIndex: ki, Outcome: out}, nil
+		out, err := play(spec, true)
+		if err != nil {
+			return SweepPoint{}, fmt.Errorf("sweep %v Kbps: %w", kbps[ki], err)
+		}
+		return SweepPoint{Kbps: kbps[ki], KbpsIndex: ki, Outcome: out}, nil
 	})
 }
 
@@ -61,47 +63,15 @@ func BandwidthSweepParallel(kbps []float64, parallel int) ([]SweepPoint, error) 
 // bandwidths) followed by a rebuffering matrix. Columns join on
 // SweepPoint.KbpsIndex; the Kbps value only labels the header.
 func PrintSweep(w io.Writer, points []SweepPoint) {
-	ncols := 0
-	for _, p := range points {
-		if p.KbpsIndex+1 > ncols {
-			ncols = p.KbpsIndex + 1
-		}
+	cells := make([]matrixCell, len(points))
+	for i, p := range points {
+		cells[i] = matrixCell{col: p.KbpsIndex, label: fmt.Sprintf("%.0fK", p.Kbps), out: p.Outcome}
 	}
-	kbps := make([]float64, ncols)
-	var models []string
-	seenM := map[string]bool{}
-	cells := map[string][]Outcome{}
-	for _, p := range points {
-		kbps[p.KbpsIndex] = p.Kbps
-		if !seenM[p.Outcome.Model] {
-			seenM[p.Outcome.Model] = true
-			models = append(models, p.Outcome.Model)
-			cells[p.Outcome.Model] = make([]Outcome, ncols)
-		}
-		cells[p.Outcome.Model][p.KbpsIndex] = p.Outcome
-	}
-	write := func(title string, value func(Outcome) string) {
-		fmt.Fprintln(w, title)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprint(tw, "Model")
-		for _, k := range kbps {
-			fmt.Fprintf(tw, "\t%.0fK", k)
-		}
-		fmt.Fprintln(tw)
-		for _, m := range models {
-			fmt.Fprint(tw, m)
-			for i := range kbps {
-				fmt.Fprintf(tw, "\t%s", value(cells[m][i]))
-			}
-			fmt.Fprintln(tw)
-		}
-		tw.Flush()
-	}
-	write("QoE score by link bandwidth:", func(o Outcome) string {
-		return fmt.Sprintf("%.2f", o.Metrics.Score)
-	})
-	fmt.Fprintln(w)
-	write("Rebuffering seconds by link bandwidth:", func(o Outcome) string {
-		return fmt.Sprintf("%.1f", o.Metrics.RebufferTime.Seconds())
-	})
+	printMatrix(w, cells,
+		matrixSection{"QoE score by link bandwidth:", func(o Outcome) string {
+			return fmt.Sprintf("%.2f", o.Metrics.Score)
+		}},
+		matrixSection{"Rebuffering seconds by link bandwidth:", func(o Outcome) string {
+			return fmt.Sprintf("%.1f", o.Metrics.RebufferTime.Seconds())
+		}})
 }

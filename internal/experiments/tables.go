@@ -75,3 +75,61 @@ func PrintOutcomes(w io.Writer, title string, outcomes []Outcome) {
 	}
 	tw.Flush()
 }
+
+// matrixCell is one outcome of a model × column matrix: col is the
+// column's position in the experiment's ordered axis, label its header.
+type matrixCell struct {
+	col   int
+	label string
+	out   Outcome
+}
+
+// matrixSection is one titled table of a matrix: value renders a cell.
+type matrixSection struct {
+	title string
+	value func(Outcome) string
+}
+
+// printMatrix renders each section as a model × column table. Rows are
+// models in first-seen order; cells join their column on col rather than
+// on the label, so near-equal axis values can't silently merge or split
+// columns. Sections are separated by a blank line.
+func printMatrix(w io.Writer, cells []matrixCell, sections ...matrixSection) {
+	ncols := 0
+	for _, c := range cells {
+		if c.col+1 > ncols {
+			ncols = c.col + 1
+		}
+	}
+	labels := make([]string, ncols)
+	var models []string
+	rows := map[string][]Outcome{}
+	for _, c := range cells {
+		labels[c.col] = c.label
+		if rows[c.out.Model] == nil {
+			models = append(models, c.out.Model)
+			rows[c.out.Model] = make([]Outcome, ncols)
+		}
+		rows[c.out.Model][c.col] = c.out
+	}
+	for i, sec := range sections {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintln(w, sec.title)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+		fmt.Fprint(tw, "Model")
+		for _, l := range labels {
+			fmt.Fprintf(tw, "\t%s", l)
+		}
+		fmt.Fprintln(tw)
+		for _, m := range models {
+			fmt.Fprint(tw, m)
+			for _, o := range rows[m] {
+				fmt.Fprintf(tw, "\t%s", sec.value(o))
+			}
+			fmt.Fprintln(tw)
+		}
+		tw.Flush()
+	}
+}

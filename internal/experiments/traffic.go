@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"time"
 
-	"demuxabr/internal/abr/jointabr"
 	"demuxabr/internal/cdnsim"
+	"demuxabr/internal/core"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/trace"
 )
 
@@ -40,27 +39,25 @@ const (
 // rebuffering (the Fig. 4 root cause under contention).
 func CrossTraffic() (map[string]CrossTrafficResult, error) {
 	content := media.DramaShow()
-	models, allowed, err := buildModels(content)
+	m, err := parseCompared(content)
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[string]CrossTrafficResult)
-	for _, model := range models {
+	for _, kind := range comparedKinds() {
+		model, _, err := m.Model(kind)
+		if err != nil {
+			return nil, err
+		}
 		eng := netsim.NewEngine()
 		link := netsim.NewLink(eng, trace.Fixed(media.Kbps(2500)))
 		link.StartCrossTraffic(6, crossStart, crossStop)
 		res, err := player.Run(link, player.Config{Content: content, Model: model})
+		o, err := scored(res, err, model, content, m.Combos)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("cross traffic: %w", err)
 		}
-		if !res.Ended {
-			return nil, fmt.Errorf("experiments: %s did not finish under cross traffic", model.Name())
-		}
-		r := CrossTrafficResult{Outcome: Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, allowed, qoe.DefaultWeights()),
-		}}
+		r := CrossTrafficResult{Outcome: o}
 		// Skip the startup ramp in the clean window and the transition in
 		// the contended one.
 		r.BeforeKbps = windowedVideoKbps(res, content, 40*time.Second, crossStart)
@@ -103,26 +100,17 @@ type MuxedBaselineResult struct {
 // packagings.
 func MuxedBaseline() (MuxedBaselineResult, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, core.BestPractice)
 	if err != nil {
 		return MuxedBaselineResult{}, err
 	}
 	run := func(muxed bool) (Outcome, error) {
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{Content: content, Model: model, Muxed: muxed})
+		spec, err := kindSpec(m, core.BestPractice, content, trace.Fig3VaryingAvg600())
 		if err != nil {
 			return Outcome{}, err
 		}
-		if !res.Ended {
-			return Outcome{}, fmt.Errorf("experiments: muxed=%v did not finish", muxed)
-		}
-		return Outcome{
-			Model:   model.Name(),
-			Result:  res,
-			Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-		}, nil
+		spec.Muxed = muxed
+		return play(spec, true)
 	}
 	var r MuxedBaselineResult
 	if r.Demuxed, err = run(false); err != nil {

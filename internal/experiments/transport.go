@@ -7,14 +7,12 @@ import (
 	"time"
 
 	"demuxabr/internal/abr"
-	"demuxabr/internal/abr/jointabr"
-	"demuxabr/internal/cdnsim"
+	"demuxabr/internal/core"
 	"demuxabr/internal/faults"
 	"demuxabr/internal/fleet"
 	"demuxabr/internal/media"
 	"demuxabr/internal/netsim"
 	"demuxabr/internal/player"
-	"demuxabr/internal/qoe"
 	"demuxabr/internal/runpool"
 	"demuxabr/internal/trace"
 )
@@ -114,11 +112,25 @@ func TransportProtocols() []netsim.Protocol {
 	return []netsim.Protocol{netsim.H1, netsim.H2, netsim.H3}
 }
 
-// TransportScenarios names the packaging/scheduling rows of the
-// comparison, in print order: the muxed baseline, the best-practice
-// demuxed player (chunk-synced scheduling), and its free-running ablation.
-func TransportScenarios() []string {
-	return []string{"muxed", "demux-synced", "demux-independent"}
+// transportScenario is one packaging/scheduling row of the comparison:
+// the packaging and the pinned model that schedules it.
+type transportScenario struct {
+	name  string
+	muxed bool
+	build func() abr.Algorithm
+}
+
+// transportScenarios are the comparison's rows, in print order: the muxed
+// baseline, the best-practice demuxed player (chunk-synced scheduling),
+// and its free-running ablation, all pinned to transportCombo.
+func transportScenarios(c *media.Content) []transportScenario {
+	combo := transportCombo(c)
+	joint := func() abr.Algorithm { return &pinnedJoint{combo: combo} }
+	return []transportScenario{
+		{"muxed", true, joint},
+		{"demux-synced", false, joint},
+		{"demux-independent", false, func() abr.Algorithm { return &pinnedPerType{combo: combo} }},
+	}
 }
 
 // TransportCell is one (scenario, protocol) cell of the comparison,
@@ -159,56 +171,38 @@ func (c TransportCell) StalledTime() time.Duration { return c.DeadAir() + c.Conn
 // transport's fixed costs — handshakes after keep-alive lapses,
 // head-of-line freezes under loss — hit the packagings differently per
 // protocol.
-func TransportComparison() ([]TransportCell, error) {
-	return TransportComparisonParallel(0)
-}
-
-// TransportComparisonParallel is TransportComparison with an explicit
-// worker count (0 = GOMAXPROCS, 1 = serial). Each cell runs its traces
-// serially on private engines; loss draws are pure functions of (seed,
-// connection label, request ordinal), so cells are byte-identical at any
-// worker count and come back in the fixed order: scenarios outer,
-// protocols inner.
-func TransportComparisonParallel(parallel int) ([]TransportCell, error) {
+//
+// parallel is the worker count (0 = GOMAXPROCS, 1 = serial). Each cell
+// runs its traces serially on private engines; loss draws are pure
+// functions of (seed, connection label, request ordinal), so cells are
+// byte-identical at any worker count and come back in the fixed order:
+// scenarios outer, protocols inner.
+func TransportComparison(parallel int) ([]TransportCell, error) {
 	content := media.DramaShow()
-	combo := transportCombo(content)
-	scens := []struct {
-		name  string
-		muxed bool
-		build func() abr.Algorithm
-	}{
-		{"muxed", true, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-synced", false, func() abr.Algorithm { return &pinnedJoint{combo: combo} }},
-		{"demux-independent", false, func() abr.Algorithm { return &pinnedPerType{combo: combo} }},
-	}
+	scens := transportScenarios(content)
 	protos := TransportProtocols()
 	return runpool.Map(parallel, len(scens)*len(protos), func(i int) (TransportCell, error) {
 		si, pi := i/len(protos), i%len(protos)
 		cell := TransportCell{Scenario: scens[si].name, Protocol: protos[pi], Seeds: TransportTraceSeeds}
 		for s := 0; s < TransportTraceSeeds; s++ {
 			tc := transportConfig(protos[pi], s)
-			eng := netsim.NewEngine()
-			link := netsim.NewLink(eng, transportWalk(s))
-			link.RTT = TransportRTT
-			model := scens[si].build()
-			res, err := player.Run(link, player.Config{
+			out, err := play(core.Spec{
 				Content:   content,
-				Model:     model,
+				Profile:   transportWalk(s),
+				Model:     scens[si].build(),
 				Muxed:     scens[si].muxed,
 				MaxBuffer: TransportMaxBuffer,
+				RTT:       TransportRTT,
 				Transport: &tc,
-			})
+			}, true)
 			if err != nil {
 				return TransportCell{}, fmt.Errorf("transport %s/%s seed %d: %w", scens[si].name, protos[pi], s, err)
 			}
-			if !res.Ended {
-				return TransportCell{}, fmt.Errorf("transport %s/%s seed %d: session did not finish", scens[si].name, protos[pi], s)
-			}
-			m := qoe.Compute(res, content, nil, qoe.DefaultWeights())
+			m := out.Metrics
 			cell.Startup += m.StartupDelay
 			cell.Rebuffer += m.RebufferTime
 			cell.Score += m.Score
-			if t := res.Transport; t != nil {
+			if t := out.Result.Transport; t != nil {
 				cell.ConnStall += t.HandshakeWait + t.HoLWait
 				cell.Stats.Handshakes += t.Handshakes
 				cell.Stats.Resumes += t.Resumes
@@ -249,18 +243,13 @@ func (d TransportDelta) Total() time.Duration { return d.DeadAir + d.ConnStall }
 // with HTTP/2 between (one shared connection, but TCP setup pricing and
 // whole-connection head-of-line freezes).
 func TransportDeltas(cells []TransportCell) map[netsim.Protocol]TransportDelta {
-	type pair struct{ dead, stall time.Duration }
-	byCell := map[string]map[netsim.Protocol]pair{}
-	for _, c := range cells {
-		if byCell[c.Scenario] == nil {
-			byCell[c.Scenario] = map[netsim.Protocol]pair{}
-		}
-		byCell[c.Scenario][c.Protocol] = pair{c.DeadAir(), c.ConnStall}
-	}
 	out := map[netsim.Protocol]TransportDelta{}
-	for _, p := range TransportProtocols() {
-		d, m := byCell["demux-independent"][p], byCell["muxed"][p]
-		out[p] = TransportDelta{DeadAir: d.dead - m.dead, ConnStall: d.stall - m.stall}
+	for _, d := range cells {
+		for _, m := range cells {
+			if d.Scenario == "demux-independent" && m.Scenario == "muxed" && d.Protocol == m.Protocol {
+				out[d.Protocol] = TransportDelta{DeadAir: d.DeadAir() - m.DeadAir(), ConnStall: d.ConnStall - m.ConnStall}
+			}
+		}
 	}
 	return out
 }
@@ -304,20 +293,15 @@ type TransportResiliencePoint struct {
 
 // TransportResilience runs the best-practice player under a fault plan
 // that mixes the classic request faults with the transport kinds
-// (handshake failures, path migrations), once per protocol. The faults
-// are identical across protocols — the same draws, the same chunks — so
-// the spread is purely the protocols' recovery pricing: TCP-family
-// connections die on migration and pay resume round trips on every
-// reconnect, QUIC revalidates in one round trip and resumes for free.
-func TransportResilience() ([]TransportResiliencePoint, error) {
-	return TransportResilienceParallel(0)
-}
-
-// TransportResilienceParallel is TransportResilience with an explicit
-// worker count.
-func TransportResilienceParallel(parallel int) ([]TransportResiliencePoint, error) {
+// (handshake failures, path migrations), once per protocol, with the given
+// worker count. The faults are identical across protocols — the same
+// draws, the same chunks — so the spread is purely the protocols' recovery
+// pricing: TCP-family connections die on migration and pay resume round
+// trips on every reconnect, QUIC revalidates in one round trip and resumes
+// for free.
+func TransportResilience(parallel int) ([]TransportResiliencePoint, error) {
 	content := media.DramaShow()
-	combos, _, err := hlsMaster(content, media.HSub(content), nil)
+	m, err := core.ParseManifests(content, core.ManifestOptions{}, core.BestPractice)
 	if err != nil {
 		return nil, err
 	}
@@ -325,33 +309,23 @@ func TransportResilienceParallel(parallel int) ([]TransportResiliencePoint, erro
 	pol := faults.DefaultPolicy()
 	return runpool.Map(parallel, len(protos), func(i int) (TransportResiliencePoint, error) {
 		tc := transportConfig(protos[i], 0)
-		plan := &faults.Plan{
+		spec, err := kindSpec(m, core.BestPractice, content, trace.Fig3VaryingAvg600())
+		if err != nil {
+			return TransportResiliencePoint{}, err
+		}
+		spec.Faults = &faults.Plan{
 			Seed:  ResilienceSeed,
 			Rate:  0.05,
 			Kinds: append(faults.AllKinds(), faults.TransportKinds()...),
 		}
-		eng := netsim.NewEngine()
-		link := netsim.NewLink(eng, trace.Fig3VaryingAvg600())
-		link.RTT = TransportRTT
-		model := jointabr.New(combos)
-		res, err := player.Run(link, player.Config{
-			Content:    content,
-			Model:      model,
-			FaultPlan:  plan,
-			Robustness: &pol,
-			Transport:  &tc,
-		})
+		spec.Robustness = &pol
+		spec.Transport = &tc
+		spec.RTT = TransportRTT
+		out, err := play(spec, false)
 		if err != nil {
 			return TransportResiliencePoint{}, fmt.Errorf("transport resilience %s: %w", protos[i], err)
 		}
-		return TransportResiliencePoint{
-			Protocol: protos[i],
-			Outcome: Outcome{
-				Model:   model.Name(),
-				Result:  res,
-				Metrics: qoe.Compute(res, content, combos, qoe.DefaultWeights()),
-			},
-		}, nil
+		return TransportResiliencePoint{Protocol: protos[i], Outcome: out}, nil
 	})
 }
 
@@ -380,10 +354,7 @@ func PrintTransportResilience(w io.Writer, points []TransportResiliencePoint) {
 // routed through per-session transport connections of the given protocol
 // (loss draws reseeded per session) on TransportRTT access links.
 func FleetAtScaleTransport(n, shards int, proto netsim.Protocol) (*fleet.Result, error) {
-	cfg := defaultFleetConfig(n, cdnsim.Demuxed)
-	cfg.CellSessions = FleetCellSessions
-	cfg.Shards = shards
-	cfg.MaxRetained = -1
+	cfg := atScaleConfig(n, shards)
 	tc := transportConfig(proto, 0)
 	cfg.Transport = &tc
 	cfg.AccessRTT = TransportRTT

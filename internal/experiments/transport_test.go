@@ -12,18 +12,18 @@ import (
 // the comparison (and its rendering) must not depend on the worker count
 // or the repetition.
 func TestTransportComparisonDeterminism(t *testing.T) {
-	serial, err := TransportComparisonParallel(1)
+	serial, err := TransportComparison(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := TransportComparisonParallel(0)
+	parallel, err := TransportComparison(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatal("transport comparison differs between serial and parallel runs")
 	}
-	again, err := TransportComparisonParallel(0)
+	again, err := TransportComparison(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestTransportComparisonDeterminism(t *testing.T) {
 // between. Dead air alone separates h3 from the TCP pair; the
 // connection-stall time separates all three strictly.
 func TestTransportDeltaOrdering(t *testing.T) {
-	cells, err := TransportComparison()
+	cells, err := TransportComparison(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTransportDeltaOrdering(t *testing.T) {
 // longer on handshakes than the TCP protocols, and every session must
 // survive the mix.
 func TestTransportResilienceSanity(t *testing.T) {
-	points, err := TransportResilienceParallel(0)
+	points, err := TransportResilience(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestTransportResilienceSanity(t *testing.T) {
 	if h3w >= h1w {
 		t.Errorf("h3 handshake wait %v not below h1's %v under identical faults", h3w, h1w)
 	}
-	serial, err := TransportResilienceParallel(1)
+	serial, err := TransportResilience(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func VerifyAll() ([]Check, error) {
 		"dominant=%s fits=%v predetermined=%v", f2b.Dominant, f2b.BetterFits, f2b.BetterPredetermined)
 
 	// Fig 3.
-	f3, err := Fig3()
+	f3, err := Fig3(nil)
 	if err != nil {
 		return nil, err
 	}

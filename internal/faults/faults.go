@@ -21,6 +21,8 @@ package faults
 import (
 	"fmt"
 	"time"
+
+	"demuxabr/internal/media"
 )
 
 // Kind is one failure mode a segment request can suffer.
@@ -345,4 +347,36 @@ func (b *Blacklist) Clear(trackID string) {
 func (b *Blacklist) Blocked(trackID string, now time.Duration) bool {
 	until, ok := b.until[trackID]
 	return ok && now < until
+}
+
+// Failover picks the substitute for a failing track from its ladder: the
+// highest track at or below the failed bitrate that is not exiled at now,
+// else the cheapest track not exiled, else (everything exiled) the
+// cheapest track of the ladder — a robust client keeps trying rather than
+// giving up. It reads the exile windows and changes nothing, so the
+// simulator and the real HTTP path share one selection.
+func (b *Blacklist) Failover(ladder []*media.Track, failed *media.Track, now time.Duration) *media.Track {
+	var lower, lowest, cheapest *media.Track
+	for _, tr := range ladder {
+		if cheapest == nil || tr.AvgBitrate < cheapest.AvgBitrate {
+			cheapest = tr
+		}
+		if tr == failed || b.Blocked(tr.ID, now) {
+			continue
+		}
+		if lowest == nil || tr.AvgBitrate < lowest.AvgBitrate {
+			lowest = tr
+		}
+		if tr.AvgBitrate <= failed.AvgBitrate && (lower == nil || tr.AvgBitrate > lower.AvgBitrate) {
+			lower = tr
+		}
+	}
+	switch {
+	case lower != nil:
+		return lower
+	case lowest != nil:
+		return lowest
+	default:
+		return cheapest
+	}
 }

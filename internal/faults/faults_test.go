@@ -3,6 +3,8 @@ package faults
 import (
 	"testing"
 	"time"
+
+	"demuxabr/internal/media"
 )
 
 // Two plans with the same seed must agree on every decision, in any call
@@ -187,5 +189,30 @@ func TestWindowContains(t *testing.T) {
 	}
 	if !w.Contains(5*time.Second) || !w.Contains(7*time.Second) {
 		t.Fatal("interior points not contained")
+	}
+}
+
+// TestFailoverSelection pins the shared failover pick: nearest healthy
+// track at or below the failed bitrate, else the cheapest healthy one,
+// else — every track exiled — the cheapest track of the ladder.
+func TestFailoverSelection(t *testing.T) {
+	ladder := media.DramaShow().AudioTracks // A1 < A2 < A3
+	a1, a2, a3 := ladder[0], ladder[1], ladder[2]
+	p := Policy{BlacklistAfter: 1, BlacklistFor: time.Hour}
+	b := NewBlacklist()
+	if got := b.Failover(ladder, a3, 0); got != a2 {
+		t.Errorf("nothing exiled: failover from A3 = %s, want A2", got.ID)
+	}
+	b.Strike("A1", 0, p)
+	b.Strike("A2", 0, p)
+	if got := b.Failover(ladder, a2, 0); got != a3 {
+		t.Errorf("A1/A2 exiled: failover from A2 = %s, want A3", got.ID)
+	}
+	b.Strike("A3", 0, p)
+	if got := b.Failover(ladder, a3, 0); got != a1 {
+		t.Errorf("all exiled: failover from A3 = %s, want the cheapest, A1", got.ID)
+	}
+	if got := b.Failover(ladder, a1, 0); got != a1 {
+		t.Errorf("all exiled: failover from A1 = %s, want A1 itself", got.ID)
 	}
 }

@@ -504,29 +504,13 @@ func (s *streamer) blocked(trackID string) bool {
 	return s.bl.Blocked(trackID, time.Since(s.begin))
 }
 
-// failover picks the substitute for a failing track: the highest
-// non-blacklisted candidate at or below the failed bitrate, else the
-// cheapest non-blacklisted one, else nil.
+// failover picks the substitute for a failing track (see
+// faults.Blacklist.Failover). When every track is exiled it returns the
+// cheapest one, which fetchTrack tries before giving up.
 func (s *streamer) failover(failed *media.Track) *media.Track {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := time.Since(s.begin)
-	var lower, lowest *media.Track
-	for _, tr := range s.src.Tracks(failed.Type) {
-		if tr == failed || s.bl.Blocked(tr.ID, now) {
-			continue
-		}
-		if lowest == nil || tr.AvgBitrate < lowest.AvgBitrate {
-			lowest = tr
-		}
-		if tr.AvgBitrate <= failed.AvgBitrate && (lower == nil || tr.AvgBitrate > lower.AvgBitrate) {
-			lower = tr
-		}
-	}
-	if lower != nil {
-		return lower
-	}
-	return lowest
+	return s.bl.Failover(s.src.Tracks(failed.Type), failed, time.Since(s.begin))
 }
 
 // sleepCtx waits d or until the context dies.

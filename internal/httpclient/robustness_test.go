@@ -371,3 +371,58 @@ func TestHLSNumChunksIsMinAcrossTracks(t *testing.T) {
 		t.Fatalf("empty manifest NumChunks = %d", got)
 	}
 }
+
+// TestFailoverAllExiledPicksCheapest pins the real path's failover when
+// every track of the type is exiled: the cheapest track, as in the
+// simulator, rather than no candidate at all.
+func TestFailoverAllExiledPicksCheapest(t *testing.T) {
+	c := tinyContent()
+	s := &streamer{src: &Manifest{Video: c.VideoTracks, Audio: c.AudioTracks}, bl: faults.NewBlacklist(), begin: time.Now()}
+	pol := faults.Policy{BlacklistAfter: 1, BlacklistFor: time.Hour}
+	for _, tr := range c.AudioTracks {
+		s.bl.Strike(tr.ID, 0, pol)
+	}
+	top := c.AudioTracks[len(c.AudioTracks)-1]
+	if got := s.failover(top); got != c.AudioTracks[0] {
+		t.Fatalf("all audio exiled: failover from %s = %v, want the cheapest, %s", top.ID, got, c.AudioTracks[0].ID)
+	}
+}
+
+// TestAllTracksDeadFailsInsteadOfLooping: with every audio track gone at
+// the origin, failover lands on the cheapest exiled track and the session
+// ends with an error once that track fails too.
+func TestAllTracksDeadFailsInsteadOfLooping(t *testing.T) {
+	content := tinyContent()
+	var ids []string
+	for _, tr := range content.AudioTracks {
+		ids = append(ids, tr.ID)
+	}
+	plan := &faults.Plan{
+		Seed: 4, Rate: 1,
+		Kinds:          []faults.Kind{faults.HTTP404},
+		Targets:        ids,
+		MaxPersistence: -1,
+	}
+	srv := httptest.NewServer(originserver.New(content, originserver.Options{Faults: plan}).Handler())
+	defer srv.Close()
+	m, err := FetchManifest(context.Background(), srv.Client(), srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	_, err = Stream(ctx, m, Config{
+		BaseURL:      srv.URL,
+		Model:        &pinned{combo: media.Combo{Video: m.Video[0], Audio: m.Audio[len(m.Audio)-1]}},
+		HTTPClient:   srv.Client(),
+		TargetBuffer: 30 * time.Second,
+		MaxChunks:    4,
+		Robustness:   fastPolicy(),
+	})
+	if err == nil {
+		t.Fatal("session with every audio track dead reported success")
+	}
+	if ctx.Err() != nil {
+		t.Fatalf("session looped until the deadline: %v", err)
+	}
+}

@@ -10,7 +10,9 @@ import (
 // (EXT-X-STREAM-INF, EXT-X-MEDIA): comma-separated KEY=VALUE pairs where
 // values may be quoted strings containing commas.
 
-// parseAttrList splits `KEY=VAL,KEY="quoted,val"` into a map.
+// parseAttrList splits `KEY=VAL,KEY="quoted,val"` into a map. Per RFC 8216
+// §4.2 a quoted string ends only at a ',' or the end of the list, and an
+// unquoted value never contains a '"'.
 func parseAttrList(s string) (map[string]string, error) {
 	attrs := make(map[string]string)
 	for i := 0; i < len(s); {
@@ -31,7 +33,10 @@ func parseAttrList(s string) (map[string]string, error) {
 			}
 			val = s[i+1 : i+1+end]
 			i += end + 2
-			if i < len(s) && s[i] == ',' {
+			if i < len(s) {
+				if s[i] != ',' {
+					return nil, fmt.Errorf("hls: quoted value for %s followed by %q, want ','", key, s[i])
+				}
 				i++
 			}
 		} else {
@@ -42,6 +47,9 @@ func parseAttrList(s string) (map[string]string, error) {
 			} else {
 				val = s[i : i+end]
 				i += end + 1
+			}
+			if strings.IndexByte(val, '"') >= 0 {
+				return nil, fmt.Errorf("hls: '\"' inside unquoted value for %s", key)
 			}
 		}
 		attrs[key] = val

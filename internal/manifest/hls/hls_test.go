@@ -34,7 +34,11 @@ func TestAttrListRoundTrip(t *testing.T) {
 }
 
 func TestAttrListErrors(t *testing.T) {
-	for _, in := range []string{"NOVALUE", `KEY="unterminated`, "=nokey"} {
+	for _, in := range []string{
+		"NOVALUE", `KEY="unterminated`, "=nokey",
+		`BANDWIDTH="0"AUDIO=0"`, // closing quote not followed by ',', and '"' in an unquoted value
+		`KEY="a"b`, `KEY=a"b`,
+	} {
 		if _, err := parseAttrList(in); err == nil {
 			t.Errorf("parseAttrList(%q) should fail", in)
 		}

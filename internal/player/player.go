@@ -1062,7 +1062,7 @@ func (s *Session) startChunk(t media.Type, idx int, track *media.Track, attempt 
 	// A robust client never issues a request to a blacklisted track: the
 	// model's selection is substituted with the nearest healthy neighbour.
 	if s.pol != nil && s.blacklist.Blocked(track.ID, now) {
-		if repl := s.failoverTrack(t, track); repl != nil && repl != track {
+		if repl := s.failoverTrack(t, track); repl != track {
 			s.res.Failovers = append(s.res.Failovers, Failover{Index: idx, Type: t, From: track, To: repl, At: s.rel(now)})
 			if s.rec.Enabled() {
 				s.rec.Emit(timeline.Event{
@@ -1351,11 +1351,8 @@ func (s *Session) failChunk(t media.Type, idx int, track *media.Track, attempt i
 		})
 		return
 	}
+	// On a single-track ladder the pick is the track that failed.
 	repl := s.failoverTrack(t, track)
-	if repl == nil {
-		// Single-track ladder: the only option is the one that failed.
-		repl = track
-	}
 	if repl != track {
 		s.res.Failovers = append(s.res.Failovers, Failover{Index: idx, Type: t, From: track, To: repl, At: s.rel(now)})
 		if s.rec.Enabled() {
@@ -1378,39 +1375,14 @@ func (s *Session) failChunk(t media.Type, idx int, track *media.Track, attempt i
 	})
 }
 
-// failoverTrack picks the substitute for a failing track: the highest
-// non-blacklisted track at or below the failed bitrate, else the cheapest
-// non-blacklisted track, else (everything exiled) the cheapest track of
-// the type — a robust client keeps trying rather than giving up.
+// failoverTrack picks the substitute for a failing track from its type's
+// ladder (see faults.Blacklist.Failover).
 func (s *Session) failoverTrack(t media.Type, failed *media.Track) *media.Track {
 	ladder := s.content.VideoTracks
 	if t == media.Audio {
 		ladder = s.content.AudioTracks
 	}
-	now := s.eng.Now()
-	var lower, lowest, cheapest *media.Track
-	for _, tr := range ladder {
-		if cheapest == nil || tr.AvgBitrate < cheapest.AvgBitrate {
-			cheapest = tr
-		}
-		if tr == failed || s.blacklist.Blocked(tr.ID, now) {
-			continue
-		}
-		if lowest == nil || tr.AvgBitrate < lowest.AvgBitrate {
-			lowest = tr
-		}
-		if tr.AvgBitrate <= failed.AvgBitrate && (lower == nil || tr.AvgBitrate > lower.AvgBitrate) {
-			lower = tr
-		}
-	}
-	switch {
-	case lower != nil:
-		return lower
-	case lowest != nil:
-		return lowest
-	default:
-		return cheapest
-	}
+	return s.blacklist.Failover(ladder, failed, s.eng.Now())
 }
 
 // retrySeed keys the backoff jitter; sharing the fault plan's seed keeps

@@ -192,3 +192,18 @@ func TestDeadlineAbortSetsAborted(t *testing.T) {
 		t.Fatalf("dead link session: Ended=%v Aborted=%v reason=%q", res.Ended, res.Aborted, res.AbortReason)
 	}
 }
+
+// TestFailoverTrackAllExiled pins the simulator's failover when every
+// track of the type is exiled: the cheapest track, so the session keeps
+// trying (the real HTTP path picks the same; see httpclient).
+func TestFailoverTrackAllExiled(t *testing.T) {
+	c := media.DramaShow()
+	s := &Session{content: c, eng: netsim.NewEngine(), blacklist: faults.NewBlacklist()}
+	pol := faults.Policy{BlacklistAfter: 1, BlacklistFor: time.Hour}
+	for _, tr := range c.AudioTracks {
+		s.blacklist.Strike(tr.ID, 0, pol)
+	}
+	if got := s.failoverTrack(media.Audio, c.AudioTracks[2]); got != c.AudioTracks[0] {
+		t.Fatalf("all audio exiled: failover from A3 = %v, want the cheapest, A1", got.ID)
+	}
+}
