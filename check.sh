@@ -37,8 +37,9 @@
 #  12. cli identity  the whole paperfigs CLI (every section) prints
 #                    byte-identical stdout at -parallel 1 and at the
 #                    default GOMAXPROCS worker count
-#  13. benchmem      fleet benchmarks compile and run once, so the
-#                    allocs/op trajectory is always measurable
+#  13. benchmem      fleet benchmarks and the netsim per-layer benchmarks
+#                    (uplink allocation, event queue) compile and run once,
+#                    so the allocs/op trajectory is always measurable
 #
 # Exits non-zero on the first failing step.
 set -eu
@@ -103,8 +104,10 @@ if ! cmp artifacts/paperfigs-serial.txt artifacts/paperfigs-parallel.txt; then
 	exit 1
 fi
 
-echo "== benchmem smoke (1 iteration per fleet benchmark)"
+echo "== benchmem smoke (1 iteration per fleet and netsim per-layer benchmark)"
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
+go test -run=NONE -bench 'BenchmarkUplinkAlloc|BenchmarkQueue' \
+	-benchtime=1x -benchmem ./internal/netsim
 
 echo "check.sh: all gates passed"

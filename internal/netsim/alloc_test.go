@@ -1,8 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
+
+	"demuxabr/internal/media"
+	"demuxabr/internal/trace"
 )
 
 // TestScheduleStepAllocFree pins the event freelist: once warm, a
@@ -62,6 +66,85 @@ func TestPoolReuseKeepsOrdering(t *testing.T) {
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("firing order broke at position %d: got %d (full order %v...)", i, v, got[:i+1])
+		}
+	}
+}
+
+// warmUplink builds a fleet cell: n leaves of 6 Mbps behind a 24 Mbps
+// uplink, each leaf carrying a demuxed pair of never-ending transfers
+// sampled every 125 ms. The engine has run one second, so every transfer
+// is active and every scratch slice is grown.
+func warmUplink(n int) (*Engine, *Uplink) {
+	eng := NewEngine()
+	up := NewUplink(eng, trace.Fixed(media.Kbps(24_000)))
+	noop := func(*Transfer, float64, time.Duration) {}
+	for i := 0; i < n; i++ {
+		leaf := up.NewLeaf(trace.Fixed(media.Kbps(6_000)))
+		for _, label := range []string{"video", "audio"} {
+			leaf.Start(1<<40, StartOptions{Label: label, SampleEvery: 125 * time.Millisecond, OnSample: noop})
+		}
+	}
+	eng.RunUntil(time.Second)
+	return eng, up
+}
+
+// TestUplinkSampleAllocFree pins the steady state of a fleet cell: a
+// progress sample with no completion (integrate the whole tree, find
+// nothing finished, report, rearm) must not allocate.
+func TestUplinkSampleAllocFree(t *testing.T) {
+	eng, _ := warmUplink(16)
+	allocs := testing.AllocsPerRun(200, func() { eng.Step() })
+	if allocs != 0 {
+		t.Fatalf("a progress sample on a warm 16-leaf uplink allocates %.2f objects, want 0", allocs)
+	}
+}
+
+// TestFinishCompletedAllocFree: completing a transfer must not allocate a
+// list of finished transfers once the link's scratch list is warm.
+func TestFinishCompletedAllocFree(t *testing.T) {
+	eng := NewEngine()
+	link := NewLink(eng, trace.Fixed(media.Kbps(1_000)))
+	done := link.prepare(1_000, StartOptions{})
+	busy := link.prepare(1<<40, StartOptions{})
+	complete := func() {
+		done.completed = false
+		done.done = float64(done.size)
+		link.active = append(link.active[:0], busy, done)
+		link.finishCompleted()
+	}
+	complete() // warm the scratch list
+	allocs := testing.AllocsPerRun(100, complete)
+	if allocs != 0 {
+		t.Fatalf("finishCompleted allocates %.2f objects per completion, want 0", allocs)
+	}
+	if !done.Completed() || busy.Completed() || link.ActiveTransfers() != 1 {
+		t.Fatalf("completion bookkeeping broke: done=%v busy=%v active=%d",
+			done.Completed(), busy.Completed(), link.ActiveTransfers())
+	}
+}
+
+// BenchmarkUplinkAlloc times one weighted max-min allocation over a cell
+// of demuxed sessions (two flows per leaf): "miss" runs the progressive
+// fill, "hit" the memo check a progress sample takes between wakes.
+func BenchmarkUplinkAlloc(b *testing.B) {
+	for _, n := range []int{4, 16, 64} {
+		for _, hit := range []bool{false, true} {
+			name := fmt.Sprintf("members-%d/miss", n)
+			if hit {
+				name = fmt.Sprintf("members-%d/hit", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				eng, up := warmUplink(n)
+				now, total := eng.Now(), up.activeTotal()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !hit {
+						up.gen++
+					}
+					up.alloc(now, total)
+				}
+			})
 		}
 	}
 }

@@ -15,11 +15,11 @@ import (
 	"time"
 )
 
-// Engine is a virtual-time discrete-event scheduler. The zero value is not
-// usable; create one with NewEngine.
+// Engine is a virtual-time discrete-event scheduler. Create one with
+// NewEngine.
 type Engine struct {
 	now     time.Duration
-	q       eventQueue
+	q       eventHeap
 	seq     uint64
 	stopped bool
 	// free recycles fired events: a long session schedules hundreds of
@@ -28,23 +28,21 @@ type Engine struct {
 	free []*Event
 }
 
-// NewEngine returns an engine with the clock at zero. Events are held in a
-// calendar queue (see queue.go); newEngineWithQueue is the test seam that
-// swaps in the reference heap to prove the orderings identical.
-func NewEngine() *Engine { return newEngineWithQueue(newCalendarQueue()) }
-
-func newEngineWithQueue(q eventQueue) *Engine { return &Engine{q: q} }
+// NewEngine returns an engine with the clock at zero. Pending events are
+// held in a binary heap (see queue.go): the simulator's engines hold at
+// most about a hundred events at once, a size at which the heap's
+// O(log n) sift beats bucketed schemes that scan whole windows.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
 // Event is a scheduled callback; it can be cancelled before it fires.
 type Event struct {
-	at     time.Duration
-	seq    uint64
-	fn     func()
-	idx    int // index within the heap or bucket; -1 once fired or cancelled
-	bucket int // owning calendar bucket (unused by the heap queue)
+	at  time.Duration
+	seq uint64
+	fn  func()
+	idx int // index within the heap; -1 once fired or cancelled
 }
 
 // At returns the time the event is scheduled for.
@@ -94,7 +92,7 @@ func (e *Engine) Cancel(ev *Event) {
 // Step fires the next event. It reports false when no events remain or the
 // engine is stopped.
 func (e *Engine) Step() bool {
-	if e.stopped || e.q.len() == 0 {
+	if e.stopped || len(e.q) == 0 {
 		return false
 	}
 	ev := e.q.pop()
@@ -123,7 +121,7 @@ func (e *Engine) Run(maxEvents int) error {
 
 // RunUntil fires events with time ≤ t, then sets the clock to t.
 func (e *Engine) RunUntil(t time.Duration) {
-	for !e.stopped && e.q.len() > 0 && e.q.peek().at <= t {
+	for !e.stopped && len(e.q) > 0 && e.q[0].at <= t {
 		e.Step()
 	}
 	if t > e.now {
@@ -138,21 +136,4 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending returns the number of scheduled events.
-func (e *Engine) Pending() int { return e.q.len() }
-
-// eventHeap orders events by time, then by scheduling order for stability.
-// See queue.go for the sift operations (pushEvent/popMin/removeAt).
-type eventHeap []*Event
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
+func (e *Engine) Pending() int { return len(e.q) }

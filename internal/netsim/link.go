@@ -25,6 +25,10 @@ type Link struct {
 	active     []*Transfer
 	lastUpdate time.Duration
 	wake       *Event // pending recompute (completion or profile breakpoint)
+	wakeFn     func() // onWake, bound once so rearming allocates nothing
+	// finished is finishCompleted's scratch list, kept between calls so a
+	// completion allocates nothing.
+	finished []*Transfer
 
 	// outages are blackout windows during which capacity is zero
 	// regardless of the profile (fault-injection link failures).
@@ -77,6 +81,16 @@ func (l *Link) AddOutage(start, stop time.Duration) {
 		return
 	}
 	l.outages = append(l.outages, outageWindow{start: start, stop: stop})
+	l.invalidateRates()
+}
+
+// invalidateRates drops the shared uplink's memoized allocation. It must
+// follow every change to l.active or to the outage windows: the memo
+// trusts that an unchanged generation means unchanged flows.
+func (l *Link) invalidateRates() {
+	if l.up != nil {
+		l.up.gen++
+	}
 }
 
 // rateAt is the effective capacity: the profile's rate, masked by outages.
@@ -141,6 +155,7 @@ type Transfer struct {
 	sampleMark   float64       // bytes at last sample boundary
 	lastSampleAt time.Duration // time of last sample boundary
 	sampleEv     *Event
+	sampleFn     func() // sample, bound once so rearming allocates nothing
 }
 
 // Size returns the transfer's total size in bytes.
@@ -308,6 +323,7 @@ func (l *Link) Cancel(tr *Transfer) {
 	for i, a := range l.active {
 		if a == tr {
 			l.active = append(l.active[:i], l.active[i+1:]...)
+			l.invalidateRates()
 			break
 		}
 	}
@@ -339,6 +355,7 @@ func (l *Link) Suspend(tr *Transfer) bool {
 	for i, a := range l.active {
 		if a == tr {
 			l.active = append(l.active[:i], l.active[i+1:]...)
+			l.invalidateRates()
 			found = true
 			break
 		}
@@ -360,6 +377,7 @@ func (l *Link) Resume(tr *Transfer) {
 	l.advance()
 	tr.suspended = false
 	l.active = append(l.active, tr)
+	l.invalidateRates()
 	l.reschedule()
 }
 
@@ -381,6 +399,7 @@ func (l *Link) activate(tr *Transfer) {
 		return
 	}
 	l.active = append(l.active, tr)
+	l.invalidateRates()
 	tr.lastSampleAt = tr.started
 	if tr.sampleEvery > 0 && tr.onSample != nil {
 		tr.scheduleSample()
@@ -389,17 +408,24 @@ func (l *Link) activate(tr *Transfer) {
 }
 
 func (tr *Transfer) scheduleSample() {
-	tr.sampleEv = tr.link.eng.After(tr.sampleEvery, func() {
-		tr.link.advance()
-		if tr.completed || tr.cancelled {
-			return
-		}
-		bytes := tr.done - tr.sampleMark
-		tr.sampleMark = tr.done
-		tr.lastSampleAt = tr.link.eng.Now()
-		tr.onSample(tr, bytes, tr.sampleEvery)
-		tr.scheduleSample()
-	})
+	if tr.sampleFn == nil {
+		tr.sampleFn = tr.sample
+	}
+	tr.sampleEv = tr.link.eng.After(tr.sampleEvery, tr.sampleFn)
+}
+
+// sample is the progress-sample event: it reports the bytes moved since
+// the last sample and arms the next one.
+func (tr *Transfer) sample() {
+	tr.link.advance()
+	if tr.completed || tr.cancelled {
+		return
+	}
+	bytes := tr.done - tr.sampleMark
+	tr.sampleMark = tr.done
+	tr.lastSampleAt = tr.link.eng.Now()
+	tr.onSample(tr, bytes, tr.sampleEvery)
+	tr.scheduleSample()
 }
 
 // advance integrates all active transfers from lastUpdate to now at the
@@ -442,11 +468,25 @@ func (l *Link) advanceSolo() {
 }
 
 // finishCompleted removes and notifies transfers that have reached their
-// full size.
+// full size. Most calls (every progress sample) find none and return
+// without touching l.active.
 func (l *Link) finishCompleted() {
-	var finished []*Transfer
-	remaining := l.active[:0]
-	for _, tr := range l.active {
+	first := -1
+	for i, tr := range l.active {
+		if float64(tr.size)-tr.done < completionSlack {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return
+	}
+	// The callbacks below cannot re-enter this loop and overwrite the
+	// scratch list: advance completes transfers only once the clock has
+	// moved, and callbacks run at the instant already integrated.
+	finished := l.finished[:0]
+	remaining := l.active[:first]
+	for _, tr := range l.active[first:] {
 		if float64(tr.size)-tr.done < completionSlack {
 			tr.done = float64(tr.size)
 			tr.completed = true
@@ -461,6 +501,7 @@ func (l *Link) finishCompleted() {
 		}
 	}
 	l.active = remaining
+	l.invalidateRates()
 	for _, tr := range finished {
 		// Report the final partial sampling interval so byte-flow observers
 		// account for every byte.
@@ -477,6 +518,8 @@ func (l *Link) finishCompleted() {
 			tr.conn.onDone(tr)
 		}
 	}
+	clear(finished)
+	l.finished = finished
 }
 
 // reschedule computes the next interesting instant (first completion or
@@ -529,11 +572,16 @@ func (l *Link) rescheduleSolo() {
 	if next == time.Duration(math.MaxInt64) {
 		return
 	}
-	l.wake = l.eng.Schedule(next, func() {
-		l.wake = nil
-		l.advance()
-		l.reschedule()
-	})
+	if l.wakeFn == nil {
+		l.wakeFn = l.onWake
+	}
+	l.wake = l.eng.Schedule(next, l.wakeFn)
+}
+
+func (l *Link) onWake() {
+	l.wake = nil
+	l.advance()
+	l.reschedule()
 }
 
 // StartCrossTraffic occupies the link with a persistent competing flow of

@@ -3,9 +3,15 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 )
+
+// The engine once ran on a calendar queue; the TestCalendar* cases below
+// pin the orderings that queue had to special-case (same-instant bursts,
+// long empty gaps, growth, RunUntil's peek) and now guard the heap.
 
 // queueOp is one step of a randomized workload: schedule, cancel, step, or
 // run-until.
@@ -65,21 +71,11 @@ func replay(e *Engine, ops []queueOp) []string {
 			if len(live) == 0 {
 				continue
 			}
-			// Deterministic pick: lowest live id >= pick mod (tag+1).
-			want := op.pick % (tag + 1)
-			best := -1
+			ids := make([]int, 0, len(live))
 			for id := range live {
-				if id >= want && (best == -1 || id < best) {
-					best = id
-				}
+				ids = append(ids, id)
 			}
-			if best == -1 {
-				for id := range live {
-					if best == -1 || id < best {
-						best = id
-					}
-				}
-			}
+			best := cancelPick(ids, op.pick, tag)
 			e.Cancel(live[best])
 			delete(live, best)
 		case 2:
@@ -93,29 +89,110 @@ func replay(e *Engine, ops []queueOp) []string {
 	return fired
 }
 
-// TestCalendarMatchesHeapOrder is the equivalence proof for the calendar
-// queue: on randomized schedule/cancel/step workloads with dense timestamp
-// collisions, the calendar-backed engine fires exactly the same events at
-// exactly the same times in exactly the same order as the reference heap.
-func TestCalendarMatchesHeapOrder(t *testing.T) {
+// cancelPick chooses the event a cancel op removes: the lowest live id at
+// or above pick mod (tag+1), else the lowest live id.
+func cancelPick(ids []int, pick, tag int) int {
+	want := pick % (tag + 1)
+	best := -1
+	for _, id := range ids {
+		if id >= want && (best == -1 || id < best) {
+			best = id
+		}
+	}
+	if best == -1 {
+		best = slices.Min(ids)
+	}
+	return best
+}
+
+// oracleReplay runs ops on a model of the engine's contract that keeps its
+// pending events in a plain list and fires them by sorting on (at, seq).
+// Ids are assigned in schedule order, so the id is the seq.
+func oracleReplay(ops []queueOp) []string {
+	type pending struct {
+		at time.Duration
+		id int
+	}
+	var (
+		now   time.Duration
+		queue []pending
+		fired []string
+		tag   int
+	)
+	fire := func() {
+		sort.Slice(queue, func(i, j int) bool {
+			if queue[i].at != queue[j].at {
+				return queue[i].at < queue[j].at
+			}
+			return queue[i].id < queue[j].id
+		})
+		p := queue[0]
+		queue = queue[1:]
+		now = p.at
+		fired = append(fired, fmt.Sprintf("%d@%v", p.id, now))
+	}
+	earliest := func() time.Duration {
+		at := queue[0].at
+		for _, p := range queue {
+			at = min(at, p.at)
+		}
+		return at
+	}
+	for _, op := range ops {
+		switch op.kind {
+		case 0:
+			queue = append(queue, pending{at: now + op.delay, id: tag})
+			tag++
+		case 1:
+			if len(queue) == 0 {
+				continue
+			}
+			ids := make([]int, len(queue))
+			for i, p := range queue {
+				ids[i] = p.id
+			}
+			best := cancelPick(ids, op.pick, tag)
+			queue = slices.DeleteFunc(queue, func(p pending) bool { return p.id == best })
+		case 2:
+			if len(queue) > 0 {
+				fire()
+			}
+		case 3:
+			t := now + op.delay
+			for len(queue) > 0 && earliest() <= t {
+				fire()
+			}
+			now = max(now, t)
+		}
+	}
+	for len(queue) > 0 {
+		fire()
+	}
+	return fired
+}
+
+// TestEngineMatchesSortOracle checks the engine against oracleReplay on
+// randomized schedule/cancel/step/RunUntil workloads with dense timestamp
+// collisions: the same events must fire at the same times in the same
+// order, tie-breaks included.
+func TestEngineMatchesSortOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		ops := randomOps(rand.New(rand.NewSource(seed)), 2000)
-		gotHeap := replay(newEngineWithQueue(&heapQueue{}), ops)
-		gotCal := replay(newEngineWithQueue(newCalendarQueue()), ops)
-		if len(gotHeap) != len(gotCal) {
-			t.Fatalf("seed %d: heap fired %d events, calendar %d", seed, len(gotHeap), len(gotCal))
+		want := oracleReplay(ops)
+		got := replay(NewEngine(), ops)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: engine fired %d events, oracle %d", seed, len(got), len(want))
 		}
-		for i := range gotHeap {
-			if gotHeap[i] != gotCal[i] {
-				t.Fatalf("seed %d: firing %d differs: heap %s calendar %s", seed, i, gotHeap[i], gotCal[i])
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d differs: engine %s oracle %s", seed, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestCalendarSparseAndBurst covers the two calendar pathologies: a long
-// empty gap (the direct-search fallback) and a burst of equal timestamps
-// (everything in one bucket, ordered purely by seq).
+// TestCalendarSparseAndBurst covers a long empty gap and a burst of equal
+// timestamps, which the engine must order purely by seq.
 func TestCalendarSparseAndBurst(t *testing.T) {
 	e := NewEngine()
 	var fired []int
@@ -141,8 +218,8 @@ func TestCalendarSparseAndBurst(t *testing.T) {
 	}
 }
 
-// TestCalendarResizeKeepsOrder grows the queue past several resize
-// thresholds, then drains and checks global (at, seq) order.
+// TestCalendarResizeKeepsOrder grows the queue to 5000 pending events at
+// random times, then drains it and checks global (at, seq) order.
 func TestCalendarResizeKeepsOrder(t *testing.T) {
 	e := NewEngine()
 	rng := rand.New(rand.NewSource(7))
@@ -169,8 +246,8 @@ func TestCalendarResizeKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestCalendarRunUntilPeek pins RunUntil's peek path on the calendar queue:
-// events at exactly t fire, events after t stay pending.
+// TestCalendarRunUntilPeek pins RunUntil's peek path: events at exactly t
+// fire, events after t stay pending.
 func TestCalendarRunUntilPeek(t *testing.T) {
 	e := NewEngine()
 	var fired []int
@@ -186,10 +263,9 @@ func TestCalendarRunUntilPeek(t *testing.T) {
 	}
 }
 
-// TestCalendarScheduleAfterRunUntilPeek is the regression test for the
-// stranded-cursor bug: RunUntil's final peek advances the cursor to the
-// window of a far-future event without popping it, and a subsequent Schedule
-// at an earlier time must rewind the cursor or it fires out of order.
+// TestCalendarScheduleAfterRunUntilPeek: RunUntil's final peek looks at a
+// far-future event without popping it, and an event scheduled afterwards at
+// an earlier time must still fire first.
 func TestCalendarScheduleAfterRunUntilPeek(t *testing.T) {
 	e := NewEngine()
 	var fired []time.Duration
@@ -210,32 +286,22 @@ func TestCalendarScheduleAfterRunUntilPeek(t *testing.T) {
 	}
 }
 
-func benchQueue(b *testing.B, mk func() eventQueue, pending int) {
-	e := newEngineWithQueue(mk())
-	for i := 0; i < pending; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Hold the pending count steady: every step reschedules one event.
-		e.After(time.Duration(pending)*time.Millisecond, func() {})
-		e.Step()
-	}
-}
-
-func BenchmarkQueueHeap(b *testing.B) {
-	for _, p := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("pending-%d", p), func(b *testing.B) {
-			benchQueue(b, func() eventQueue { return &heapQueue{} }, p)
-		})
-	}
-}
-
-func BenchmarkQueueCalendar(b *testing.B) {
-	for _, p := range []int{64, 4096} {
-		b.Run(fmt.Sprintf("pending-%d", p), func(b *testing.B) {
-			benchQueue(b, func() eventQueue { return newCalendarQueue() }, p)
+// BenchmarkQueue holds the pending count steady at each size — every step
+// reschedules one event a full spread ahead — and times a schedule/step
+// pair.
+func BenchmarkQueue(b *testing.B) {
+	for _, pending := range []int{8, 64, 4096} {
+		b.Run(fmt.Sprintf("pending-%d", pending), func(b *testing.B) {
+			e := NewEngine()
+			for i := 0; i < pending; i++ {
+				e.Schedule(time.Duration(i)*time.Millisecond, func() {})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.After(time.Duration(pending)*time.Millisecond, func() {})
+				e.Step()
+			}
 		})
 	}
 }

@@ -25,6 +25,16 @@ type Uplink struct {
 
 	lastUpdate time.Duration
 	wake       *Event
+	wakeFn     func() // onWake, bound once so rearming allocates nothing
+
+	// gen counts changes to the flows alloc sees: every edit of a member's
+	// active set (see Link.invalidateRates), every new member and outage.
+	gen uint64
+	// memoGen and memoCap key the allocation held in rates: the generation
+	// and the capacity vector (uplink rate, then each member's rate) it was
+	// computed for.
+	memoGen uint64
+	memoCap []float64
 
 	// Allocator scratch, reused across recomputes so steady-state event
 	// handling allocates nothing.
@@ -48,7 +58,9 @@ func NewUplink(eng *Engine, profile trace.Profile) *Uplink {
 	if profile == nil {
 		panic("netsim: nil uplink profile")
 	}
-	return &Uplink{eng: eng, profile: profile}
+	u := &Uplink{eng: eng, profile: profile}
+	u.wakeFn = u.onWake
+	return u
 }
 
 // Engine returns the engine driving this uplink.
@@ -64,6 +76,7 @@ func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
 	l := NewLink(u.eng, profile)
 	l.up = u
 	u.members = append(u.members, l)
+	u.gen++
 	return l
 }
 
@@ -84,20 +97,31 @@ func (u *Uplink) activeTotal() int {
 // repeat with the remaining capacity. Every transfer loads the uplink
 // constraint, so the fill level is always finite, and each round freezes
 // at least one transfer — the loop runs at most len(members)+1 rounds.
+//
+// The result depends only on the flows (each member's active set, in
+// order, with its weights) and on the capacity vector at t, so it is
+// memoized: while no flow has changed (gen) and every capacity is the same
+// float bit for bit, the previous rates are returned as they are. Between
+// two wakes that is every progress sample.
 func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 	nc := len(u.members) + 1
+	u.remain = growF(u.remain, nc)
+	u.remain[0] = float64(u.profile.RateAt(t))
+	for i, l := range u.members {
+		u.remain[1+i] = l.rateAt(t)
+	}
+	if u.memoGen == u.gen && sameBits(u.memoCap, u.remain) {
+		return u.rates
+	}
+	u.memoGen = u.gen
+	u.memoCap = append(u.memoCap[:0], u.remain...)
 	u.rates = growF(u.rates, total)
 	u.frozen = growB(u.frozen, total)
 	u.weight = growF(u.weight, nc)
-	u.remain = growF(u.remain, nc)
 	u.sat = growB(u.sat, nc)
 	for i := range u.rates {
 		u.rates[i] = 0
 		u.frozen[i] = false
-	}
-	u.remain[0] = float64(u.profile.RateAt(t))
-	for i, l := range u.members {
-		u.remain[1+i] = l.rateAt(t)
 	}
 	for {
 		for c := range u.weight {
@@ -158,10 +182,19 @@ func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 	}
 }
 
-// advance integrates every member's transfers from lastUpdate to now at
-// the allocation that applied over the span (group wake events at every
-// completion and breakpoint guarantee the allocation was constant), then
-// completes finished transfers member by member.
+// sameBits reports whether a and b hold the same floats bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // SetRecorder attaches a flight recorder: the uplink emits a LinkRate
 // event (labelled typ, e.g. "uplink") whenever its observed capacity
 // changes during integration. Pass nil to detach.
@@ -195,6 +228,10 @@ func (u *Uplink) observeRate(now time.Duration) {
 	}
 }
 
+// advance integrates every member's transfers from lastUpdate to now at
+// the allocation that applied over the span (group wake events at every
+// completion and breakpoint guarantee the allocation was constant), then
+// completes finished transfers member by member.
 func (u *Uplink) advance() {
 	now := u.eng.Now()
 	u.observeRate(now)
@@ -273,11 +310,13 @@ func (u *Uplink) reschedule() {
 	if next == time.Duration(math.MaxInt64) {
 		return
 	}
-	u.wake = u.eng.Schedule(next, func() {
-		u.wake = nil
-		u.advance()
-		u.reschedule()
-	})
+	u.wake = u.eng.Schedule(next, u.wakeFn)
+}
+
+func (u *Uplink) onWake() {
+	u.wake = nil
+	u.advance()
+	u.reschedule()
 }
 
 // growF returns s resized to n, reallocating only on capacity growth.
