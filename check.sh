@@ -37,8 +37,9 @@
 #  12. cli identity  the whole paperfigs CLI (every section) prints
 #                    byte-identical stdout at -parallel 1 and at the
 #                    default GOMAXPROCS worker count
-#  13. benchmem      fleet benchmarks and the netsim per-layer benchmarks
-#                    (uplink allocation, event queue) compile and run once,
+#  13. benchmem      fleet benchmarks and the netsim and ABR per-layer
+#                    benchmarks (uplink allocation, event queue, MPC
+#                    decision, sliding percentile) compile and run once,
 #                    so the allocs/op trajectory is always measurable
 #
 # Exits non-zero on the first failing step.
@@ -104,10 +105,12 @@ if ! cmp artifacts/paperfigs-serial.txt artifacts/paperfigs-parallel.txt; then
 	exit 1
 fi
 
-echo "== benchmem smoke (1 iteration per fleet and netsim per-layer benchmark)"
+echo "== benchmem smoke (1 iteration per fleet, netsim and ABR per-layer benchmark)"
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
 go test -run=NONE -bench 'BenchmarkUplinkAlloc|BenchmarkQueue' \
 	-benchtime=1x -benchmem ./internal/netsim
+go test -run=NONE -bench 'BenchmarkMPCSelectCombo|BenchmarkSlidingPercentileEstimate' \
+	-benchtime=1x -benchmem ./internal/abr/jointabr ./internal/abr/estimator
 
 echo "check.sh: all gates passed"

@@ -12,7 +12,7 @@ package estimator
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"demuxabr/internal/media"
@@ -126,11 +126,29 @@ type SlidingPercentile struct {
 
 	samples     []weightedSample
 	totalWeight float64
+
+	// The last answer, valid until the next Add or a change of Percentile,
+	// and the scratch slice a miss sorts.
+	memoValid   bool
+	memoPctBits uint64
+	memo        float64
+	sorted      []weightedSample
 }
 
 type weightedSample struct {
 	value  float64
 	weight float64
+}
+
+// byValue orders samples by value for slices.SortFunc.
+func byValue(a, b weightedSample) int {
+	switch {
+	case a.value < b.value:
+		return -1
+	case a.value > b.value:
+		return 1
+	}
+	return 0
 }
 
 // NewSlidingPercentile creates the percentile tracker with ExoPlayer's
@@ -144,6 +162,7 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 	if weight <= 0 {
 		return
 	}
+	p.memoValid = false
 	p.samples = append(p.samples, weightedSample{value: value, weight: weight})
 	p.totalWeight += weight
 	for p.totalWeight > p.MaxWeight && len(p.samples) > 1 {
@@ -153,22 +172,33 @@ func (p *SlidingPercentile) Add(weight, value float64) {
 }
 
 // Estimate returns the weighted percentile; ok is false with no samples.
+// The answer is cached until the next Add or a change of Percentile.
 func (p *SlidingPercentile) Estimate() (float64, bool) {
 	if len(p.samples) == 0 {
 		return 0, false
 	}
-	sorted := make([]weightedSample, len(p.samples))
-	copy(sorted, p.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].value < sorted[j].value })
+	pctBits := math.Float64bits(p.Percentile)
+	if p.memoValid && p.memoPctBits == pctBits {
+		return p.memo, true
+	}
+	// The sort is unstable and the order of equal values decides how the
+	// weight sum rounds, so the recorded outputs depend on it:
+	// slices.SortFunc runs the same pdqsort as sort.Slice and leaves ties
+	// where sort.Slice would.
+	p.sorted = append(p.sorted[:0], p.samples...)
+	slices.SortFunc(p.sorted, byValue)
+	p.memoValid, p.memoPctBits = true, pctBits
+	p.memo = p.sorted[len(p.sorted)-1].value
 	target := p.Percentile * p.totalWeight
 	var acc float64
-	for _, s := range sorted {
+	for _, s := range p.sorted {
 		acc += s.weight
 		if acc >= target {
-			return s.value, true
+			p.memo = s.value
+			break
 		}
 	}
-	return sorted[len(sorted)-1].value, true
+	return p.memo, true
 }
 
 // GlobalMeter models ExoPlayer's DefaultBandwidthMeter (§3.2): it measures

@@ -1,7 +1,11 @@
 package estimator
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -309,3 +313,138 @@ func TestEWMAEstimateBeforeAndAfter(t *testing.T) {
 		t.Error("zero half-life should never estimate")
 	}
 }
+
+// referenceEstimate is the uncached estimate: copy the window, sort it with
+// sort.Slice and walk the weights.
+func referenceEstimate(p *SlidingPercentile) (float64, bool) {
+	if len(p.samples) == 0 {
+		return 0, false
+	}
+	sorted := make([]weightedSample, len(p.samples))
+	copy(sorted, p.samples)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].value < sorted[j].value })
+	target := p.Percentile * p.totalWeight
+	var acc float64
+	for _, s := range sorted {
+		acc += s.weight
+		if acc >= target {
+			return s.value, true
+		}
+	}
+	return sorted[len(sorted)-1].value, true
+}
+
+// Random Adds, Percentile changes and repeated Estimates: the cached answer
+// must always equal the uncached one bit for bit.
+func TestSlidingPercentileMemoMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewPCG(7, 11))
+	p := &SlidingPercentile{MaxWeight: 200, Percentile: 0.5}
+	for step := range 5000 {
+		switch r.IntN(6) {
+		case 0, 1:
+			p.Add(r.Float64()*20, float64(r.IntN(8))*1e5)
+		case 2:
+			p.Percentile = []float64{0.25, 0.5, 0.9, 1}[r.IntN(4)]
+		}
+		want, wantOK := referenceEstimate(p)
+		got, ok := p.Estimate()
+		if ok != wantOK || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: Estimate = %v,%v; uncached %v,%v", step, got, ok, want, wantOK)
+		}
+	}
+}
+
+func TestSlidingPercentileMemoInvalidation(t *testing.T) {
+	p := NewSlidingPercentile()
+	for _, v := range []float64{100, 200, 300, 400} {
+		p.Add(1, v)
+	}
+	if got, _ := p.Estimate(); got != 200 {
+		t.Fatalf("median = %v, want 200", got)
+	}
+	p.Add(3, 400)
+	if got, _ := p.Estimate(); got != 400 {
+		t.Errorf("after Add the estimate is %v, want 400 (stale cache)", got)
+	}
+	p.Percentile = 0.25
+	if got, _ := p.Estimate(); got != 200 {
+		t.Errorf("after a Percentile change the estimate is %v, want 200 (stale cache)", got)
+	}
+	p.Add(0, 1) // ignored, so the cache stays valid
+	if got, _ := p.Estimate(); got != 200 {
+		t.Errorf("a zero-weight Add moved the estimate to %v", got)
+	}
+}
+
+// Estimate's sort must put tied values in the same order as sort.Slice: the
+// order decides how the weight sum rounds and which tied sample reaches the
+// target first.
+func TestSlidingPercentileSortMatchesSortSlice(t *testing.T) {
+	r := rand.New(rand.NewPCG(3, 5))
+	for trial := range 2000 {
+		n := 1 + r.IntN(300)
+		p := &SlidingPercentile{MaxWeight: math.Inf(1), Percentile: 0.5}
+		for i := range n {
+			// Few distinct values, distinct weights: every permutation of
+			// a tie shows in the weights.
+			p.Add(float64(i+1), float64(r.IntN(1+n/8)))
+		}
+		p.Estimate()
+		want := slices.Clone(p.samples)
+		sort.Slice(want, func(i, j int) bool { return want[i].value < want[j].value })
+		if !slices.Equal(p.sorted, want) {
+			t.Fatalf("trial %d (n=%d): Estimate's order differs from sort.Slice", trial, n)
+		}
+	}
+}
+
+func TestSlidingPercentileEstimateAllocFree(t *testing.T) {
+	p := NewSlidingPercentile()
+	for i := range 40 {
+		p.Add(10, float64(i%7)*1e5)
+	}
+	p.Estimate()
+	if n := testing.AllocsPerRun(100, func() { p.Estimate() }); n != 0 {
+		t.Errorf("cached Estimate allocates %v times, want 0", n)
+	}
+	flip := 0.25
+	if n := testing.AllocsPerRun(100, func() {
+		flip = 0.75 - flip
+		p.Percentile = flip
+		p.Estimate()
+	}); n != 0 {
+		t.Errorf("warm uncached Estimate allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkSlidingPercentileEstimate times one estimate over a window of
+// the given size: "hit" returns the cached answer, "miss" re-sorts the
+// window after a Percentile change.
+func BenchmarkSlidingPercentileEstimate(b *testing.B) {
+	for _, n := range []int{4, 32} {
+		for _, hit := range []bool{true, false} {
+			name := fmt.Sprintf("samples-%d/miss", n)
+			if hit {
+				name = fmt.Sprintf("samples-%d/hit", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				p := NewSlidingPercentile()
+				for i := range n {
+					p.Add(1, float64((i*7919)%n)*1e5)
+				}
+				p.Estimate()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !hit {
+						p.Percentile = 0.25 + float64(i&1)/2
+					}
+					estimateSink, _ = p.Estimate()
+				}
+			})
+		}
+	}
+}
+
+// estimateSink keeps the benchmarked call from being optimized away.
+var estimateSink float64

@@ -37,6 +37,16 @@ type MPC struct {
 	utilities []float64
 	meter     *estimator.GlobalMeter
 	lastIdx   int
+
+	// Per-decision tables, filled by decide and reused across decisions:
+	// each combination's download and drain seconds for one chunk, the
+	// N×N switch penalties (row = previous combination) and search's
+	// pruning bound, one row of N per remaining depth.
+	chunkSecs    float64
+	downloadSecs []float64
+	drainSecs    []float64
+	switchCost   []float64
+	bound        []float64
 }
 
 // NewMPC creates the adapter over the allowed combinations.
@@ -100,17 +110,88 @@ func (m *MPC) SelectCombo(st abr.State) media.Combo {
 	if chunkSecs <= 0 {
 		chunkSecs = 5
 	}
-	bestIdx, _ := m.search(st.MinBuffer().Seconds(), m.lastIdx, m.Horizon, float64(est), chunkSecs)
+	bestIdx, _ := m.decide(st.MinBuffer().Seconds(), m.lastIdx, float64(est), chunkSecs)
 	m.lastIdx = bestIdx
 	return m.allowed[bestIdx]
 }
 
-// search enumerates combination sequences of the given depth and returns
-// the best first step and its objective value.
-func (m *MPC) search(buffer float64, prevIdx, depth int, est, chunkSecs float64) (int, float64) {
-	bestIdx, bestVal := 0, math.Inf(-1)
+// decide fills the per-decision tables and runs the lookahead from the
+// given buffer and previous combination; it returns the best first step and
+// its objective value. A Horizon below 1 searches one step.
+func (m *MPC) decide(buffer float64, prevIdx int, est, chunkSecs float64) (int, float64) {
+	n, depth := len(m.allowed), max(m.Horizon, 1)
+	m.chunkSecs = chunkSecs
+	m.downloadSecs = growTo(m.downloadSecs, n)
+	m.drainSecs = growTo(m.drainSecs, n)
 	for i, cb := range m.allowed {
-		downloadSecs := float64(cb.DeclaredBitrate()) * chunkSecs / est
+		m.downloadSecs[i] = float64(cb.DeclaredBitrate()) * chunkSecs / est
+		m.drainSecs[i] = m.downloadSecs[i] - chunkSecs
+	}
+	m.switchCost = growTo(m.switchCost, n*n)
+	for p := range n {
+		for i := range n {
+			m.switchCost[p*n+i] = m.SwitchPenalty * math.Abs(m.utilities[i]-m.utilities[p])
+		}
+	}
+	m.bound = growTo(m.bound, depth*n)
+	if !penaltyBoundable(m.RebufferPenalty) || !penaltyBoundable(m.DrainPenalty) || !penaltyBoundable(m.SwitchPenalty) {
+		for k := range m.bound {
+			m.bound[k] = math.Inf(1)
+		}
+	} else {
+		clear(m.bound[:n])
+		for d := 1; d < depth; d++ {
+			prev, cur := m.bound[(d-1)*n:d*n], m.bound[d*n:(d+1)*n]
+			for p := range n {
+				best := math.Inf(-1)
+				for i := range n {
+					if v := m.utilities[i] - m.switchCost[p*n+i] + prev[i]; v > best {
+						best = v
+					}
+				}
+				cur[p] = best
+			}
+		}
+	}
+	return m.search(buffer, prevIdx, depth, 0, math.Inf(-1))
+}
+
+// penaltyBoundable reports whether a penalty weight is finite and
+// non-negative, the precondition for the search's pruning bound.
+func penaltyBoundable(w float64) bool { return w >= 0 && !math.IsInf(w, 1) }
+
+// growTo returns s resized to n elements, reusing its backing array.
+func growTo(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
+// search scores combination sequences of the given depth from buffer and
+// returns the best first step and its objective value, with the same
+// first-maximum tie-break and the same floating-point result as scoring
+// all N^depth sequences.
+//
+// It skips a child whose subtree cannot matter, using bound[(d-1)*N+i]: the
+// best objective reachable in the d-1 steps after choosing i with every
+// buffer penalty dropped, max over j of (u_j - switch(i,j)) + bound[d-2][j].
+// Child i is skipped when its step value plus that bound does not beat the
+// best sibling so far, or when, added to the parent's own step value
+// plocal, it does not beat the parent's best so far pbest (one level of
+// alpha pruning). Both skips are exact: round-to-nearest is monotone, and
+// every dropped penalty subtracts a non-negative amount, so no subtree
+// evaluated in floating point exceeds its bound, and a skipped child could
+// never strictly beat the value it was compared with. The argument needs
+// RebufferPenalty, DrainPenalty and SwitchPenalty finite and non-negative;
+// otherwise decide sets every bound to +Inf and only children whose value
+// is NaN or -Inf, which can never win, are skipped.
+func (m *MPC) search(buffer float64, prevIdx, depth int, plocal, pbest float64) (int, float64) {
+	n, chunkSecs := len(m.allowed), m.chunkSecs
+	bound := m.bound[(depth-1)*n : depth*n]
+	bestIdx, bestVal := 0, math.Inf(-1)
+	for i := range n {
+		downloadSecs := m.downloadSecs[i]
 		b := buffer - downloadSecs
 		rebuffer := 0.0
 		if b < 0 {
@@ -119,7 +200,7 @@ func (m *MPC) search(buffer float64, prevIdx, depth int, est, chunkSecs float64)
 		}
 		b += chunkSecs
 		val := m.utilities[i] - m.RebufferPenalty*rebuffer
-		if drain := downloadSecs - chunkSecs; drain > 0 {
+		if drain := m.drainSecs[i]; drain > 0 {
 			// Sustainability matters in proportion to how close the
 			// projected buffer is to empty: with a deep buffer a transient
 			// drain is exactly what the buffer is for.
@@ -130,10 +211,13 @@ func (m *MPC) search(buffer float64, prevIdx, depth int, est, chunkSecs float64)
 			}
 		}
 		if prevIdx >= 0 {
-			val -= m.SwitchPenalty * math.Abs(m.utilities[i]-m.utilities[prevIdx])
+			val -= m.switchCost[prevIdx*n+i]
+		}
+		if reach := val + bound[i]; !(reach > bestVal) || !(plocal+reach > pbest) {
+			continue
 		}
 		if depth > 1 {
-			_, future := m.search(b, i, depth-1, est, chunkSecs)
+			_, future := m.search(b, i, depth-1, val, bestVal)
 			val += future
 		}
 		if val > bestVal {

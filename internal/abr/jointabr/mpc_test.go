@@ -1,6 +1,9 @@
 package jointabr
 
 import (
+	"fmt"
+	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -130,4 +133,184 @@ func TestMPCDefaults(t *testing.T) {
 		}
 	}()
 	NewMPC(nil, 5)
+}
+
+// exhaustiveSearch is the unpruned lookahead: it scores all N^depth
+// combination sequences and keeps the first maximum. MPC.search must match
+// it bit for bit. The switch term is rounded before it is subtracted, as
+// the table in MPC.decide rounds it, so the two also agree on architectures
+// that fuse multiply-add.
+func exhaustiveSearch(m *MPC, buffer float64, prevIdx, depth int, est, chunkSecs float64) (int, float64) {
+	bestIdx, bestVal := 0, math.Inf(-1)
+	for i, cb := range m.allowed {
+		downloadSecs := float64(cb.DeclaredBitrate()) * chunkSecs / est
+		b := buffer - downloadSecs
+		rebuffer := 0.0
+		if b < 0 {
+			rebuffer = -b
+			b = 0
+		}
+		b += chunkSecs
+		val := m.utilities[i] - m.RebufferPenalty*rebuffer
+		if drain := downloadSecs - chunkSecs; drain > 0 {
+			const comfort = 20.0 // seconds
+			urgency := (comfort - b) / comfort
+			if urgency > 0 {
+				val -= m.DrainPenalty * drain * urgency
+			}
+		}
+		if prevIdx >= 0 {
+			val -= float64(m.SwitchPenalty * math.Abs(m.utilities[i]-m.utilities[prevIdx]))
+		}
+		if depth > 1 {
+			_, future := exhaustiveSearch(m, b, i, depth-1, est, chunkSecs)
+			val += future
+		}
+		if val > bestVal {
+			bestVal = val
+			bestIdx = i
+		}
+	}
+	return bestIdx, bestVal
+}
+
+type namedLadder struct {
+	name    string
+	allowed []media.Combo
+}
+
+// mpcLadders is every combination list the media presets offer.
+func mpcLadders() []namedLadder {
+	var out []namedLadder
+	for _, c := range []*media.Content{
+		media.DramaShow(), media.DramaShowLowAudio(), media.DramaShowHighAudio(),
+		media.MusicShow(), media.ActionMovie(), media.MultiLanguageShow(),
+	} {
+		out = append(out, namedLadder{c.Name + "/hsub", media.HSub(c)}, namedLadder{c.Name + "/hall", media.HAll(c)})
+	}
+	return out
+}
+
+// TestMPCSearchMatchesExhaustive checks the pruned lookahead against the
+// exhaustive oracle on seeded random decisions: every preset ladder,
+// estimates from 10 Kbps to 50 Mbps, buffers 0–60 s, chunks 1–8 s, every
+// previous combination, horizons 0–6 and penalties that are zero, default,
+// large, negative, +Inf or NaN. The chosen index and the root objective
+// must be bit-identical.
+func TestMPCSearchMatchesExhaustive(t *testing.T) {
+	penalty := func(r *rand.Rand, def float64) float64 {
+		switch r.IntN(8) {
+		case 0:
+			return 0
+		case 1:
+			return -r.Float64() * 4
+		case 2:
+			return math.Inf(1)
+		case 3:
+			return math.NaN()
+		case 4:
+			return 1e308
+		case 5:
+			return r.Float64() * 20
+		default:
+			return def
+		}
+	}
+	trials := 200
+	if testing.Short() {
+		trials = 30
+	}
+	for li, l := range mpcLadders() {
+		r := rand.New(rand.NewPCG(uint64(li), 0x5eed))
+		m := NewMPC(l.allowed, 5)
+		n := len(m.allowed)
+		for trial := range trials {
+			horizon := r.IntN(7)
+			// Keep the oracle's N^H leaves affordable on the 18-rung lists.
+			for math.Pow(float64(n), float64(horizon)) > 5e4 {
+				horizon--
+			}
+			m.Horizon = horizon
+			m.RebufferPenalty = penalty(r, 8)
+			m.DrainPenalty = penalty(r, 1)
+			m.SwitchPenalty = penalty(r, 2)
+			est := math.Exp(math.Log(10e3) + r.Float64()*math.Log(50e6/10e3))
+			if r.IntN(2) == 0 {
+				est = math.Round(est) // the meter reports whole bits per second
+			}
+			buffer := r.Float64() * 60
+			if r.IntN(4) == 0 {
+				buffer = float64(r.IntN(13) * 5)
+			}
+			chunk := 1 + r.Float64()*7
+			if r.IntN(2) == 0 {
+				chunk = float64(1 + r.IntN(8))
+			}
+			prev := r.IntN(n+1) - 1
+			wantIdx, wantVal := exhaustiveSearch(m, buffer, prev, max(horizon, 1), est, chunk)
+			gotIdx, gotVal := m.decide(buffer, prev, est, chunk)
+			if gotIdx != wantIdx || math.Float64bits(gotVal) != math.Float64bits(wantVal) {
+				t.Fatalf("%s trial %d (H=%d prev=%d est=%v buf=%v chunk=%v pen=%v/%v/%v): pruned (%d, %v), exhaustive (%d, %v)",
+					l.name, trial, horizon, prev, est, buffer, chunk,
+					m.RebufferPenalty, m.DrainPenalty, m.SwitchPenalty, gotIdx, gotVal, wantIdx, wantVal)
+			}
+		}
+	}
+}
+
+// With a buffer too deep to rebuffer or drain, no buffer penalty applies,
+// so the lookahead's objective from any previous combination must equal the
+// pruning bound exactly: the bound is the tightest one the exactness
+// argument allows, not merely an upper bound.
+func TestMPCBoundTightWithoutBufferPenalties(t *testing.T) {
+	const horizon = 4
+	for _, l := range mpcLadders() {
+		m := NewMPC(l.allowed, horizon)
+		for _, sw := range []float64{0, 0.5, 2, 7} {
+			m.SwitchPenalty = sw
+			m.decide(1e9, -1, 1e15, 4)
+			n := len(m.allowed)
+			for d := 1; d < horizon; d++ {
+				for p := range n {
+					_, got := m.search(1e9, p, d, 0, math.Inf(-1))
+					if want := m.bound[d*n+p]; math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s switch %v: objective after %d from %d = %v, bound %v", l.name, sw, d, p, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMPCSelectComboAllocFree(t *testing.T) {
+	c := media.DramaShow()
+	m := NewMPC(media.HSub(c), 5)
+	feedMPC(m, 1.5e6, 6)
+	st := abr.State{VideoBuffer: 12 * time.Second, AudioBuffer: 10 * time.Second, ChunkDuration: 5 * time.Second}
+	m.SelectCombo(st)
+	if n := testing.AllocsPerRun(100, func() { m.SelectCombo(st) }); n != 0 {
+		t.Errorf("warm SelectCombo allocates %v times, want 0", n)
+	}
+}
+
+// BenchmarkMPCSelectCombo times one H_sub decision at the default horizon:
+// thin and deep buffers against a low and a high bandwidth estimate.
+func BenchmarkMPCSelectCombo(b *testing.B) {
+	c := media.DramaShow()
+	for _, buf := range []time.Duration{4 * time.Second, 30 * time.Second} {
+		for _, bps := range []float64{800e3, 5e6} {
+			b.Run(fmt.Sprintf("buffer-%ds/est-%dk", int(buf.Seconds()), int(bps/1e3)), func(b *testing.B) {
+				m := NewMPC(media.HSub(c), 5)
+				feedMPC(m, bps, 6)
+				st := abr.State{VideoBuffer: buf, AudioBuffer: buf, ChunkDuration: 5 * time.Second}
+				m.SelectCombo(st) // fill the reused tables
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.lastIdx = 2
+					m.SelectCombo(st)
+				}
+			})
+		}
+	}
 }
