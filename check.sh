@@ -38,9 +38,11 @@
 #                    byte-identical stdout at -parallel 1 and at the
 #                    default GOMAXPROCS worker count
 #  13. benchmem      fleet benchmarks and the netsim and ABR per-layer
-#                    benchmarks (uplink allocation, event queue, MPC
-#                    decision, sliding percentile) compile and run once,
-#                    so the allocs/op trajectory is always measurable
+#                    benchmarks (uplink allocation and progress sample,
+#                    event queue, MPC decision, sliding percentile) compile
+#                    and run once, so the allocs/op trajectory is always
+#                    measurable
+#  14. gofmt         every Go source file is gofmt-formatted
 #
 # Exits non-zero on the first failing step.
 set -eu
@@ -108,9 +110,17 @@ fi
 echo "== benchmem smoke (1 iteration per fleet, netsim and ABR per-layer benchmark)"
 go test -run=NONE -bench 'BenchmarkBandwidthSweep|BenchmarkSeedSweep|BenchmarkCDNCacheSweep|BenchmarkFleet|BenchmarkLiveSession' \
 	-benchtime=1x -benchmem .
-go test -run=NONE -bench 'BenchmarkUplinkAlloc|BenchmarkQueue' \
+go test -run=NONE -bench 'BenchmarkUplinkAlloc|BenchmarkUplinkSample|BenchmarkQueue' \
 	-benchtime=1x -benchmem ./internal/netsim
 go test -run=NONE -bench 'BenchmarkMPCSelectCombo|BenchmarkSlidingPercentileEstimate' \
 	-benchtime=1x -benchmem ./internal/abr/jointabr ./internal/abr/estimator
+
+echo "== gofmt -l (no unformatted Go file)"
+unformatted=$(gofmt -l cmd examples internal perfbench ./*.go)
+if [ -n "$unformatted" ]; then
+	echo "$unformatted"
+	echo "check.sh: the Go files above are not gofmt-formatted (run gofmt -w on them)" >&2
+	exit 1
+fi
 
 echo "check.sh: all gates passed"

@@ -99,6 +99,20 @@ func TestUplinkSampleAllocFree(t *testing.T) {
 	}
 }
 
+// TestUplinkRescheduleAllocFree: rearming a pending group wake moves the
+// event in place (Engine.Retime). Cancel+Schedule allocated a new Event
+// every time, since cancelled events are never recycled.
+func TestUplinkRescheduleAllocFree(t *testing.T) {
+	_, up := warmUplink(16)
+	if up.wake == nil {
+		t.Fatal("warm uplink has no pending wake")
+	}
+	allocs := testing.AllocsPerRun(200, up.reschedule)
+	if allocs != 0 {
+		t.Fatalf("rearming the group wake allocates %.2f objects, want 0", allocs)
+	}
+}
+
 // TestFinishCompletedAllocFree: completing a transfer must not allocate a
 // list of finished transfers once the link's scratch list is warm.
 func TestFinishCompletedAllocFree(t *testing.T) {
@@ -124,8 +138,10 @@ func TestFinishCompletedAllocFree(t *testing.T) {
 }
 
 // BenchmarkUplinkAlloc times one weighted max-min allocation over a cell
-// of demuxed sessions (two flows per leaf): "miss" runs the progressive
-// fill, "hit" the memo check a progress sample takes between wakes.
+// of demuxed sessions (two flows per leaf): "miss" is what a flow change
+// costs (rebuild the flat active list and the validity window, run the
+// progressive fill), "hit" the memo check a progress sample takes between
+// wakes.
 func BenchmarkUplinkAlloc(b *testing.B) {
 	for _, n := range []int{4, 16, 64} {
 		for _, hit := range []bool{false, true} {
@@ -135,16 +151,32 @@ func BenchmarkUplinkAlloc(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				eng, up := warmUplink(n)
-				now, total := eng.Now(), up.activeTotal()
+				now := eng.Now()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if !hit {
 						up.gen++
 					}
-					up.alloc(now, total)
+					up.alloc(now)
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkUplinkSample times one progress sample on a warm cell of
+// demuxed sessions (two sampled flows per leaf): integrate the whole tree,
+// find nothing finished, report and rearm the sample.
+func BenchmarkUplinkSample(b *testing.B) {
+	for _, n := range []int{4, 16, 64} {
+		b.Run(fmt.Sprintf("members-%d", n), func(b *testing.B) {
+			eng, _ := warmUplink(n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Step()
+			}
+		})
 	}
 }

@@ -75,6 +75,27 @@ func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
 	return ev
 }
 
+// Retime moves a pending event to fire fn at virtual time at, with the
+// same outcome as Cancel(ev) followed by Schedule(at, fn): the event takes
+// a fresh seq exactly as Schedule would, so the (at, seq) firing order is
+// unchanged, but its heap slot is fixed in place and nothing is allocated.
+// Owners that keep rearming one event (a link's wake, a player's alarm)
+// use it instead of Cancel+Schedule: cancelled events are never recycled,
+// so each such pair would allocate. A nil, fired or cancelled ev is not
+// reused; Retime then schedules a new event. Use the returned handle.
+func (e *Engine) Retime(ev *Event, at time.Duration, fn func()) *Event {
+	if ev == nil || ev.idx < 0 {
+		return e.Schedule(at, fn)
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("netsim: scheduling at %v before now %v", at, e.now))
+	}
+	e.seq++
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
+	e.q.fix(ev.idx)
+	return ev
+}
+
 // After runs fn d after the current virtual time.
 func (e *Engine) After(d time.Duration, fn func()) *Event {
 	return e.Schedule(e.now+d, fn)

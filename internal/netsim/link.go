@@ -22,7 +22,9 @@ type Link struct {
 	// default; the paper's single-server testbed had negligible RTT.
 	RTT time.Duration
 
-	active     []*Transfer
+	active []*Transfer
+	// lastUpdate is the instant a solo link's transfers are integrated up
+	// to; an uplink leaf's clock is the group's (Uplink.lastUpdate).
 	lastUpdate time.Duration
 	wake       *Event // pending recompute (completion or profile breakpoint)
 	wakeFn     func() // onWake, bound once so rearming allocates nothing
@@ -76,12 +78,24 @@ func (l *Link) RateAt(t time.Duration) float64 { return l.rateAt(t) }
 // In-flight transfers stall and resume when the window ends; pair with a
 // request timeout to model clients that give up instead. Call before the
 // window opens — retroactive outages do not re-integrate past traffic.
+//
+// On a link with transfers in flight the traffic so far is integrated at
+// the old capacity and the wake is rearmed for the new breakpoints. An
+// idle link has nothing to integrate, and an idle uplink leaf never binds
+// the group's allocation, so the outage is just recorded.
 func (l *Link) AddOutage(start, stop time.Duration) {
 	if stop <= start {
 		return
 	}
+	loaded := len(l.active) > 0
+	if loaded {
+		l.advance()
+	}
 	l.outages = append(l.outages, outageWindow{start: start, stop: stop})
 	l.invalidateRates()
+	if loaded {
+		l.reschedule()
+	}
 }
 
 // invalidateRates drops the shared uplink's memoized allocation. It must
@@ -279,6 +293,9 @@ func (l *Link) SetRecorder(rec *timeline.Recorder, typ string) {
 	l.rec = rec
 	l.recLabel = typ
 	l.rateSeen = false
+	if l.up != nil {
+		l.up.collectObserved()
+	}
 }
 
 // observeRate emits a LinkRate event when the effective capacity at now
@@ -534,14 +551,12 @@ func (l *Link) reschedule() {
 }
 
 func (l *Link) rescheduleSolo() {
-	if l.wake != nil {
-		l.eng.Cancel(l.wake)
-		l.wake = nil
-	}
 	// With no active transfers there is nothing to integrate; the next
 	// activation re-arms the wake. (Arming breakpoint wakes while idle would
 	// keep cyclic profiles generating events forever.)
 	if len(l.active) == 0 {
+		l.eng.Cancel(l.wake)
+		l.wake = nil
 		return
 	}
 	now := l.eng.Now()
@@ -570,12 +585,14 @@ func (l *Link) rescheduleSolo() {
 		}
 	}
 	if next == time.Duration(math.MaxInt64) {
+		l.eng.Cancel(l.wake)
+		l.wake = nil
 		return
 	}
 	if l.wakeFn == nil {
 		l.wakeFn = l.onWake
 	}
-	l.wake = l.eng.Schedule(next, l.wakeFn)
+	l.wake = l.eng.Retime(l.wake, next, l.wakeFn)
 }
 
 func (l *Link) onWake() {

@@ -582,6 +582,48 @@ func TestOutageStallsTransfer(t *testing.T) {
 	}
 }
 
+// outageAddedMidTransfer runs one 1,000,000-byte transfer over link at
+// 8 Mbps (1 s without an outage) and, at 250 ms, adds a 250 ms outage at
+// [500 ms, 750 ms) while the transfer is in flight. It returns the finish
+// time.
+func outageAddedMidTransfer(t *testing.T, eng *Engine, link *Link) time.Duration {
+	t.Helper()
+	var got *Transfer
+	link.Start(1_000_000, StartOptions{OnComplete: func(tr *Transfer) { got = tr }})
+	eng.Schedule(250*time.Millisecond, func() { link.AddOutage(500*time.Millisecond, 750*time.Millisecond) })
+	if err := eng.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if got == nil {
+		t.Fatal("transfer did not complete")
+	}
+	return got.Finished()
+}
+
+// TestOutageAddedOnLoadedLink: an outage added while a transfer is in
+// flight delays it by exactly the outage length. The link once recorded
+// the window without integrating up to now or rearming its wake, so the
+// transfer finished on the old schedule as if the outage never happened.
+func TestOutageAddedOnLoadedLink(t *testing.T) {
+	eng := NewEngine()
+	link := NewLink(eng, trace.Fixed(media.Kbps(8_000)))
+	if got, want := outageAddedMidTransfer(t, eng, link), 1250*time.Millisecond; got != want {
+		t.Fatalf("finished at %v, want %v (1 s + the 250 ms outage)", got, want)
+	}
+}
+
+// TestOutageAddedOnLoadedLeaf is the same on an access leaf behind a
+// faster uplink: the group wake must be rearmed for the leaf's new edges.
+func TestOutageAddedOnLoadedLeaf(t *testing.T) {
+	eng := NewEngine()
+	up := NewUplink(eng, trace.Fixed(media.Kbps(100_000)))
+	up.NewLeaf(trace.Fixed(media.Kbps(8_000))) // an idle neighbour
+	leaf := up.NewLeaf(trace.Fixed(media.Kbps(8_000)))
+	if got, want := outageAddedMidTransfer(t, eng, leaf), 1250*time.Millisecond; got != want {
+		t.Fatalf("finished at %v, want %v (1 s + the 250 ms outage)", got, want)
+	}
+}
+
 func TestOutageZeroesRateAt(t *testing.T) {
 	eng := NewEngine()
 	link := NewLink(eng, trace.Fixed(media.Kbps(1000)))

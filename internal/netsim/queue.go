@@ -54,10 +54,15 @@ func (h *eventHeap) remove(ev *Event) {
 	old[n] = nil
 	*h = old[:n]
 	if i < n {
-		h.down(i)
-		h.up(i)
+		h.fix(i)
 	}
 	ev.idx = -1
+}
+
+// fix restores heap order after the event at slot i changed its key.
+func (h eventHeap) fix(i int) {
+	h.down(i)
+	h.up(i)
 }
 
 func (h eventHeap) up(i int) {

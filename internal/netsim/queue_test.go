@@ -13,32 +13,37 @@ import (
 // pin the orderings that queue had to special-case (same-instant bursts,
 // long empty gaps, growth, RunUntil's peek) and now guard the heap.
 
-// queueOp is one step of a randomized workload: schedule, cancel, step, or
-// run-until.
+// queueOp is one step of a randomized workload: schedule, cancel, step,
+// run-until, or retime.
 type queueOp struct {
-	kind  int // 0 schedule, 1 cancel, 2 step, 3 run-until
+	kind  int // 0 schedule, 1 cancel, 2 step, 3 run-until, 4 retime
 	delay time.Duration
-	pick  int // which live event to cancel
+	pick  int // which live event to cancel or retime
 }
 
 // randomOps builds a workload with heavy same-timestamp collisions (delay 0
 // and small quantized delays) so the seq tie-break is exercised constantly.
 // RunUntil ops (often targeting a time before the next pending event, so the
 // probe peeks without popping) interleave with later schedules to cover the
-// persisted-peek cursor states.
+// persisted-peek cursor states. Retime ops move a live event to a new
+// delay, which may tie with or precede every other pending event.
 func randomOps(rng *rand.Rand, n int) []queueOp {
 	ops := make([]queueOp, n)
+	delay := func() time.Duration {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return time.Duration(rng.Intn(50)) * time.Millisecond
+	}
 	for i := range ops {
-		switch r := rng.Intn(10); {
+		switch r := rng.Intn(12); {
 		case r < 5:
-			d := time.Duration(rng.Intn(50)) * time.Millisecond
-			if rng.Intn(4) == 0 {
-				d = 0
-			}
-			ops[i] = queueOp{kind: 0, delay: d}
+			ops[i] = queueOp{kind: 0, delay: delay()}
 		case r < 7:
 			ops[i] = queueOp{kind: 1, pick: rng.Int()}
-		case r < 8:
+		case r < 9:
+			ops[i] = queueOp{kind: 4, delay: delay(), pick: rng.Int()}
+		case r < 10:
 			// Small advances rarely reach the next event (delays above are up
 			// to 50ms), so most of these peek a far event and leave it pending.
 			ops[i] = queueOp{kind: 3, delay: time.Duration(rng.Intn(8)) * time.Millisecond}
@@ -51,33 +56,52 @@ func randomOps(rng *rand.Rand, n int) []queueOp {
 
 // replay runs ops against an engine and returns the (time, tag) firing
 // sequence. Tags are assigned in schedule order, so identical sequences mean
-// identical event ordering, including tie-breaks.
-func replay(e *Engine, ops []queueOp) []string {
+// identical event ordering, including tie-breaks. A retime op gives the
+// moved event a new tag, as a fresh Schedule would; with retime false it
+// is carried out as Cancel followed by Schedule instead of Retime.
+func replay(e *Engine, ops []queueOp, retime bool) []string {
 	var fired []string
 	live := map[int]*Event{}
 	tag := 0
+	fire := func(id int) func() {
+		return func() {
+			delete(live, id)
+			fired = append(fired, fmt.Sprintf("%d@%v", id, e.Now()))
+		}
+	}
+	pickLive := func(pick int) int {
+		ids := make([]int, 0, len(live))
+		for id := range live {
+			ids = append(ids, id)
+		}
+		return cancelPick(ids, pick, tag)
+	}
 	for _, op := range ops {
 		switch op.kind {
 		case 0:
-			id := tag
+			live[tag] = e.After(op.delay, fire(tag))
 			tag++
-			var ev *Event
-			ev = e.After(op.delay, func() {
-				delete(live, id)
-				fired = append(fired, fmt.Sprintf("%d@%v", id, e.Now()))
-			})
-			live[id] = ev
 		case 1:
 			if len(live) == 0 {
 				continue
 			}
-			ids := make([]int, 0, len(live))
-			for id := range live {
-				ids = append(ids, id)
-			}
-			best := cancelPick(ids, op.pick, tag)
+			best := pickLive(op.pick)
 			e.Cancel(live[best])
 			delete(live, best)
+		case 4:
+			if len(live) == 0 {
+				continue
+			}
+			best := pickLive(op.pick)
+			ev := live[best]
+			delete(live, best)
+			if retime {
+				live[tag] = e.Retime(ev, e.Now()+op.delay, fire(tag))
+			} else {
+				e.Cancel(ev)
+				live[tag] = e.After(op.delay, fire(tag))
+			}
+			tag++
 		case 2:
 			e.Step()
 		case 3:
@@ -143,7 +167,7 @@ func oracleReplay(ops []queueOp) []string {
 		case 0:
 			queue = append(queue, pending{at: now + op.delay, id: tag})
 			tag++
-		case 1:
+		case 1, 4:
 			if len(queue) == 0 {
 				continue
 			}
@@ -153,6 +177,10 @@ func oracleReplay(ops []queueOp) []string {
 			}
 			best := cancelPick(ids, op.pick, tag)
 			queue = slices.DeleteFunc(queue, func(p pending) bool { return p.id == best })
+			if op.kind == 4 {
+				queue = append(queue, pending{at: now + op.delay, id: tag})
+				tag++
+			}
 		case 2:
 			if len(queue) > 0 {
 				fire()
@@ -172,21 +200,62 @@ func oracleReplay(ops []queueOp) []string {
 }
 
 // TestEngineMatchesSortOracle checks the engine against oracleReplay on
-// randomized schedule/cancel/step/RunUntil workloads with dense timestamp
-// collisions: the same events must fire at the same times in the same
-// order, tie-breaks included.
+// randomized schedule/cancel/retime/step/RunUntil workloads with dense
+// timestamp collisions: the same events must fire at the same times in the
+// same order, tie-breaks included.
 func TestEngineMatchesSortOracle(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		ops := randomOps(rand.New(rand.NewSource(seed)), 2000)
 		want := oracleReplay(ops)
-		got := replay(NewEngine(), ops)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: engine fired %d events, oracle %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d differs: engine %s oracle %s", seed, i, got[i], want[i])
-			}
+		got := replay(NewEngine(), ops, true)
+		sameFirings(t, seed, "engine", got, "oracle", want)
+	}
+}
+
+// TestEngineRetimeMatchesCancelSchedule runs the same random workloads on
+// two engines, one moving events with Retime and one with Cancel followed
+// by Schedule, and requires an identical firing order: Retime must take
+// the seq a fresh Schedule would, so the (at, seq) pop order cannot tell
+// the two apart.
+func TestEngineRetimeMatchesCancelSchedule(t *testing.T) {
+	for seed := int64(100); seed < 120; seed++ {
+		ops := randomOps(rand.New(rand.NewSource(seed)), 2000)
+		retimed := replay(NewEngine(), ops, true)
+		rescheduled := replay(NewEngine(), ops, false)
+		sameFirings(t, seed, "Retime", retimed, "Cancel+Schedule", rescheduled)
+	}
+}
+
+// TestEngineRetimeCancelledHandle: retiming a cancelled handle schedules a
+// new event, as Cancel+Schedule would, instead of reviving the old one.
+// (Fired handles are out of contract: holders drop them in the callback.)
+func TestEngineRetimeCancelledHandle(t *testing.T) {
+	e := NewEngine()
+	var fired []string
+	record := func(tag string) func() { return func() { fired = append(fired, tag) } }
+	cancelled := e.Schedule(2*time.Millisecond, record("cancelled"))
+	e.Cancel(cancelled)
+	e.Schedule(time.Millisecond, record("first"))
+	if ev := e.Retime(cancelled, time.Millisecond, record("retimed")); ev == cancelled {
+		t.Fatal("Retime revived a cancelled handle in place")
+	}
+	for e.Step() {
+	}
+	if want := []string{"first", "retimed"}; !slices.Equal(fired, want) {
+		t.Fatalf("fired %v, want %v", fired, want)
+	}
+}
+
+// sameFirings fails the test at the first position where two firing
+// sequences differ.
+func sameFirings(t *testing.T, seed int64, gotName string, got []string, wantName string, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("seed %d: %s fired %d events, %s %d", seed, gotName, len(got), wantName, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: firing %d differs: %s %s, %s %s", seed, i, gotName, got[i], wantName, want[i])
 		}
 	}
 }

@@ -30,11 +30,20 @@ type Uplink struct {
 	// gen counts changes to the flows alloc sees: every edit of a member's
 	// active set (see Link.invalidateRates), every new member and outage.
 	gen uint64
-	// memoGen and memoCap key the allocation held in rates: the generation
-	// and the capacity vector (uplink rate, then each member's rate) it was
-	// computed for.
-	memoGen uint64
-	memoCap []float64
+
+	// flat lists every active transfer in member order, and leafOf[k] is
+	// the index in members of flat[k]'s leaf. sync rebuilds both when gen
+	// has moved past flatGen.
+	flat    []*Transfer
+	leafOf  []int
+	flatGen uint64
+
+	// rates holds the allocation computed for generation memoGen, valid at
+	// every instant of [memoFrom, memoUntil): memoUntil is the earliest
+	// capacity breakpoint of the uplink and of each loaded member after
+	// memoFrom (MaxInt64 if none).
+	memoGen             uint64
+	memoFrom, memoUntil time.Duration
 
 	// Allocator scratch, reused across recomputes so steady-state event
 	// handling allocates nothing.
@@ -43,6 +52,10 @@ type Uplink struct {
 	weight []float64
 	remain []float64
 	sat    []bool
+
+	// observed lists the members with a flight recorder attached, in
+	// member order (see Link.SetRecorder).
+	observed []*Link
 
 	// rec, when non-nil, receives a LinkRate event each time the observed
 	// uplink capacity changes while the group is being integrated.
@@ -80,41 +93,61 @@ func (u *Uplink) NewLeaf(profile trace.Profile) *Link {
 	return l
 }
 
-// activeTotal counts in-flight transfers across all members.
-func (u *Uplink) activeTotal() int {
-	n := 0
-	for _, l := range u.members {
-		n += len(l.active)
+// sync rebuilds the flat active list if the flows changed since it was
+// last built.
+func (u *Uplink) sync() {
+	if u.flatGen == u.gen {
+		return
 	}
-	return n
+	u.flatGen = u.gen
+	clear(u.flat)
+	u.flat, u.leafOf = u.flat[:0], u.leafOf[:0]
+	for i, l := range u.members {
+		for _, tr := range l.active {
+			u.flat = append(u.flat, tr)
+			u.leafOf = append(u.leafOf, i)
+		}
+	}
 }
 
 // alloc computes the weighted max-min rate (bits/s) of every active
-// transfer at time t, flattened in member order. Constraint 0 is the
-// uplink; constraint 1+i is member i. Progressive filling: raise every
-// unfrozen transfer's per-weight rate in lockstep until some constraint
-// saturates, freeze that constraint's transfers at the fill level, and
-// repeat with the remaining capacity. Every transfer loads the uplink
-// constraint, so the fill level is always finite, and each round freezes
-// at least one transfer — the loop runs at most len(members)+1 rounds.
+// transfer at time t, indexed like u.flat. Constraint 0 is the uplink;
+// constraint 1+i is member i. Progressive filling: raise every unfrozen
+// transfer's per-weight rate in lockstep until some constraint saturates,
+// freeze that constraint's transfers at the fill level, and repeat with
+// the remaining capacity. Every transfer loads the uplink constraint, so
+// the fill level is always finite, and each round freezes at least one
+// transfer — the loop runs at most len(members)+1 rounds.
 //
 // The result depends only on the flows (each member's active set, in
-// order, with its weights) and on the capacity vector at t, so it is
-// memoized: while no flow has changed (gen) and every capacity is the same
-// float bit for bit, the previous rates are returned as they are. Between
-// two wakes that is every progress sample.
-func (u *Uplink) alloc(t time.Duration, total int) []float64 {
+// order, with its weights) and on the capacities of the uplink and of the
+// loaded members: an unloaded member has weight 0 and never binds. So it
+// is memoized on the generation and a validity window: every profile is
+// constant on [t, NextChange(t)), so until the earliest breakpoint of
+// those capacities the same fill would give the same floats. Between two
+// wakes that is every progress sample.
+func (u *Uplink) alloc(t time.Duration) []float64 {
+	u.sync()
+	if u.memoGen == u.gen && t >= u.memoFrom && t < u.memoUntil {
+		return u.rates
+	}
 	nc := len(u.members) + 1
 	u.remain = growF(u.remain, nc)
 	u.remain[0] = float64(u.profile.RateAt(t))
+	until := time.Duration(math.MaxInt64)
+	if bp, ok := u.profile.NextChange(t); ok {
+		until = bp
+	}
 	for i, l := range u.members {
 		u.remain[1+i] = l.rateAt(t)
+		if len(l.active) > 0 {
+			if bp, ok := l.nextChange(t); ok && bp < until {
+				until = bp
+			}
+		}
 	}
-	if u.memoGen == u.gen && sameBits(u.memoCap, u.remain) {
-		return u.rates
-	}
-	u.memoGen = u.gen
-	u.memoCap = append(u.memoCap[:0], u.remain...)
+	u.memoGen, u.memoFrom, u.memoUntil = u.gen, t, until
+	total := len(u.flat)
 	u.rates = growF(u.rates, total)
 	u.frozen = growB(u.frozen, total)
 	u.weight = growF(u.weight, nc)
@@ -127,15 +160,12 @@ func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 		for c := range u.weight {
 			u.weight[c] = 0
 		}
-		k, unfrozen := 0, 0
-		for i, l := range u.members {
-			for _, tr := range l.active {
-				if !u.frozen[k] {
-					unfrozen++
-					u.weight[0] += tr.weight
-					u.weight[1+i] += tr.weight
-				}
-				k++
+		unfrozen := 0
+		for k, tr := range u.flat {
+			if !u.frozen[k] {
+				unfrozen++
+				u.weight[0] += tr.weight
+				u.weight[1+u.leafOf[k]] += tr.weight
 			}
 		}
 		if unfrozen == 0 {
@@ -161,17 +191,14 @@ func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 		for c := range u.remain {
 			u.sat[c] = u.weight[c] > 0 && u.remain[c]/u.weight[c] <= fill
 		}
-		k = 0
-		for i, l := range u.members {
-			for _, tr := range l.active {
-				if !u.frozen[k] && (u.sat[0] || u.sat[1+i]) {
-					r := fill * tr.weight
-					u.rates[k] = r
-					u.frozen[k] = true
-					u.remain[0] -= r
-					u.remain[1+i] -= r
-				}
-				k++
+		for k, tr := range u.flat {
+			c := 1 + u.leafOf[k]
+			if !u.frozen[k] && (u.sat[0] || u.sat[c]) {
+				r := fill * tr.weight
+				u.rates[k] = r
+				u.frozen[k] = true
+				u.remain[0] -= r
+				u.remain[c] -= r
 			}
 		}
 		for c := range u.remain {
@@ -180,19 +207,6 @@ func (u *Uplink) alloc(t time.Duration, total int) []float64 {
 			}
 		}
 	}
-}
-
-// sameBits reports whether a and b hold the same floats bit for bit.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // SetRecorder attaches a flight recorder: the uplink emits a LinkRate
@@ -204,9 +218,19 @@ func (u *Uplink) SetRecorder(rec *timeline.Recorder, typ string) {
 	u.rateSeen = false
 }
 
+// collectObserved rebuilds the list of members with a recorder.
+func (u *Uplink) collectObserved() {
+	u.observed = u.observed[:0]
+	for _, l := range u.members {
+		if l.rec != nil {
+			u.observed = append(u.observed, l)
+		}
+	}
+}
+
 // observeRate emits a LinkRate event when the uplink capacity at now
-// differs from the last observed value, then lets every member leaf do the
-// same for its own access capacity.
+// differs from the last observed value, then lets every recorded member
+// leaf do the same for its own access capacity.
 func (u *Uplink) observeRate(now time.Duration) {
 	if u.rec != nil {
 		rate := float64(u.profile.RateAt(now)) / 1000 // bits/s → Kbps
@@ -223,7 +247,7 @@ func (u *Uplink) observeRate(now time.Duration) {
 			})
 		}
 	}
-	for _, l := range u.members {
+	for _, l := range u.observed {
 		l.observeRate(now)
 	}
 }
@@ -231,86 +255,72 @@ func (u *Uplink) observeRate(now time.Duration) {
 // advance integrates every member's transfers from lastUpdate to now at
 // the allocation that applied over the span (group wake events at every
 // completion and breakpoint guarantee the allocation was constant), then
-// completes finished transfers member by member.
+// completes finished transfers member by member. The completion test rides
+// along with the integration: when nothing finished no member is scanned,
+// and otherwise the scans start at the first member with a finished
+// transfer (the ones before it would find nothing; the ones after it are
+// scanned as before, since completion callbacks may change them).
 func (u *Uplink) advance() {
 	now := u.eng.Now()
 	u.observeRate(now)
 	if now <= u.lastUpdate {
-		u.touch(now)
+		u.lastUpdate = now
 		return
 	}
-	if total := u.activeTotal(); total > 0 {
-		rates := u.alloc(u.lastUpdate, total)
+	first := -1
+	if u.sync(); len(u.flat) > 0 {
+		rates := u.alloc(u.lastUpdate)
 		elapsed := (now - u.lastUpdate).Seconds()
-		k := 0
-		for _, l := range u.members {
-			for _, tr := range l.active {
-				tr.done += rates[k] * elapsed / 8
-				if tr.done > float64(tr.size) {
-					tr.done = float64(tr.size)
-				}
-				k++
+		for k, tr := range u.flat {
+			tr.done += rates[k] * elapsed / 8
+			if tr.done > float64(tr.size) {
+				tr.done = float64(tr.size)
+			}
+			if first < 0 && float64(tr.size)-tr.done < completionSlack {
+				first = u.leafOf[k]
 			}
 		}
 	}
-	u.touch(now)
-	for _, l := range u.members {
-		l.finishCompleted()
-	}
-}
-
-// touch marks the whole tree as integrated up to now.
-func (u *Uplink) touch(now time.Duration) {
 	u.lastUpdate = now
-	for _, l := range u.members {
-		l.lastUpdate = now
+	if first < 0 {
+		return
+	}
+	for _, l := range u.members[first:] {
+		l.finishCompleted()
 	}
 }
 
 // reschedule arms one wake event for the whole tree: the earliest transfer
 // completion at current allocation rates, or the next capacity breakpoint
-// (uplink profile, or any loaded leaf's profile/outage edge).
+// (uplink profile, or any loaded leaf's profile/outage edge), which is the
+// end of alloc's validity window.
 func (u *Uplink) reschedule() {
-	if u.wake != nil {
+	if u.sync(); len(u.flat) == 0 {
 		u.eng.Cancel(u.wake)
 		u.wake = nil
-	}
-	total := u.activeTotal()
-	if total == 0 {
 		return
 	}
 	now := u.eng.Now()
-	next := time.Duration(math.MaxInt64)
-	if bp, ok := u.profile.NextChange(now); ok && bp < next {
-		next = bp
-	}
-	rates := u.alloc(now, total)
-	k := 0
-	for _, l := range u.members {
-		if len(l.active) == 0 {
-			continue
-		}
-		if bp, ok := l.nextChange(now); ok && bp < next {
-			next = bp
-		}
-		for _, tr := range l.active {
-			if r := rates[k]; r > 0 {
-				remaining := float64(tr.size) - tr.done
-				eta := now + time.Duration(remaining*8/r*float64(time.Second))
-				if eta <= now {
-					eta = now + 1 // guarantee progress
-				}
-				if eta < next {
-					next = eta
-				}
+	rates := u.alloc(now)
+	next := u.memoUntil
+	for k, tr := range u.flat {
+		if r := rates[k]; r > 0 {
+			remaining := float64(tr.size) - tr.done
+			eta := now + time.Duration(remaining*8/r*float64(time.Second))
+			if eta <= now {
+				eta = now + 1 // guarantee progress
 			}
-			k++
+			if eta < next {
+				next = eta
+			}
 		}
 	}
 	if next == time.Duration(math.MaxInt64) {
+		u.eng.Cancel(u.wake)
+		u.wake = nil
 		return
 	}
-	u.wake = u.eng.Schedule(next, u.wakeFn)
+	u.wake = u.eng.Retime(u.wake, next, u.wakeFn)
 }
 
 func (u *Uplink) onWake() {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,8 +12,8 @@ import (
 )
 
 // uplinkWalk is a seeded random drive of an uplink tree: transfers start,
-// cancel, suspend and resume at random instants, and idle leaves gain
-// outage windows, all over stepped capacity profiles.
+// cancel, suspend and resume at random instants, and leaves, idle or
+// loaded, gain outage windows, all over stepped capacity profiles.
 type uplinkWalk struct {
 	rng    *rand.Rand
 	eng    *Engine
@@ -99,43 +100,118 @@ func (w *uplinkWalk) step() {
 			tr.link.Resume(tr)
 		}
 	default:
-		// AddOutage does not rearm the group wake, so like the player it is
-		// only called on a leaf with nothing in flight.
 		leaf := w.leaves[rng.Intn(len(w.leaves))]
-		if leaf.ActiveTransfers() == 0 {
-			start := w.eng.Now() + time.Duration(rng.Intn(2000))*time.Millisecond
-			leaf.AddOutage(start, start+time.Duration(1+rng.Intn(1500))*time.Millisecond)
-		}
+		start := w.eng.Now() + time.Duration(rng.Intn(2000))*time.Millisecond
+		leaf.AddOutage(start, start+time.Duration(1+rng.Intn(1500))*time.Millisecond)
 	}
 }
 
+// sameBits reports whether a and b hold the same floats bit for bit.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // TestUplinkAllocMemoMatchesFreshFill drives random uplink trees of 1-64
-// leaves and, after every engine event, checks that alloc's memoized rates
-// equal a fresh progressive fill bit for bit: every change to a flow set or
-// capacity must have invalidated the memo.
+// leaves and, after every engine event, checks that no finished transfer
+// is left active (the completion scans must not skip one) and checks
+// alloc's memo: its validity
+// window must end exactly at the first capacity breakpoint of the uplink or
+// of a loaded leaf, and its rates must equal a fresh progressive fill bit
+// for bit, so every change to a flow set must have invalidated it. The
+// memo is restored after each check, so the walk runs as it would without
+// one. The walks must also reach the cases that make the window exact
+// rather than merely safe: a memo kept across an idle leaf's capacity
+// change, a memo dropped at the window's end with the flows unchanged, and
+// an idle leaf loaded while its next breakpoint falls inside the window.
 func TestUplinkAllocMemoMatchesFreshFill(t *testing.T) {
+	var keptAcrossIdle, expired, loadedInWindow int
 	for seed := int64(1); seed <= 12; seed++ {
 		w := newUplinkWalk(seed)
+		up := w.up
 		events := 0
+		// The flows, window and loaded leaves as of the previous check.
+		var lastGen uint64
+		var lastUntil time.Duration
+		wasLoaded := make([]bool, len(w.leaves))
 		for w.next() {
 			events++
-			total := w.up.activeTotal()
-			if total == 0 {
+			if up.sync(); len(up.flat) == 0 {
 				continue
 			}
 			now := w.eng.Now()
-			memo := append([]float64(nil), w.up.alloc(now, total)...)
-			w.up.gen++ // force a fresh fill
-			fresh := w.up.alloc(now, total)
+			for _, tr := range up.flat {
+				if float64(tr.size)-tr.done < completionSlack {
+					t.Fatalf("seed %d at %v: a finished transfer (%v of %d bytes) is still active", seed, now, tr.done, tr.size)
+				}
+			}
+			gen, from, until, rates := up.memoGen, up.memoFrom, up.memoUntil, slices.Clone(up.rates)
+			valid := gen == up.gen && now >= from && now < until
+			if valid {
+				if want := windowEnd(up, now); until != want {
+					t.Fatalf("seed %d at %v: memo window [%v, %v) should end at %v", seed, now, from, until, want)
+				}
+				for _, l := range w.leaves {
+					if l.ActiveTransfers() == 0 && math.Float64bits(l.rateAt(from)) != math.Float64bits(l.rateAt(now)) {
+						keptAcrossIdle++
+						break
+					}
+				}
+			}
+			if up.gen == lastGen && now >= lastUntil {
+				expired++
+			}
+			if up.gen != lastGen && now < lastUntil {
+				for i, l := range w.leaves {
+					if bp, ok := l.nextChange(now); ok && !wasLoaded[i] && l.ActiveTransfers() > 0 && bp < lastUntil {
+						loadedInWindow++
+						break
+					}
+				}
+			}
+			memo := slices.Clone(up.alloc(now))
+			up.gen++ // force a fresh fill
+			fresh := up.alloc(now)
 			if !sameBits(memo, fresh) {
 				t.Fatalf("seed %d, %d leaves, event %d at %v: memoized rates %v, fresh fill %v",
 					seed, len(w.leaves), events, now, memo, fresh)
+			}
+			up.gen--
+			up.memoGen, up.memoFrom, up.memoUntil = gen, from, until
+			up.rates = append(up.rates[:0], rates...)
+			lastGen, lastUntil = up.gen, until
+			if !valid {
+				lastUntil = windowEnd(up, now)
+			}
+			for i, l := range w.leaves {
+				wasLoaded[i] = l.ActiveTransfers() > 0
 			}
 		}
 		if events < 100 {
 			t.Fatalf("seed %d: only %d events; the walk exercises too little", seed, events)
 		}
 	}
+	if keptAcrossIdle == 0 || expired == 0 || loadedInWindow == 0 {
+		t.Fatalf("walks missed a window case: kept across an idle leaf's change %d, expired %d, idle leaf loaded in window %d",
+			keptAcrossIdle, expired, loadedInWindow)
+	}
+	t.Logf("window cases: kept across an idle leaf's change %d, expired %d, idle leaf loaded in window %d",
+		keptAcrossIdle, expired, loadedInWindow)
+}
+
+// windowEnd recomputes, from scratch, the end of an allocation window
+// holding at t: the first breakpoint after t of the uplink or of a leaf
+// with transfers in flight (MaxInt64 if none).
+func windowEnd(up *Uplink, t time.Duration) time.Duration {
+	end := time.Duration(math.MaxInt64)
+	if bp, ok := up.profile.NextChange(t); ok {
+		end = bp
+	}
+	for _, l := range up.members {
+		if bp, ok := l.nextChange(t); ok && l.ActiveTransfers() > 0 && bp < end {
+			end = bp
+		}
+	}
+	return end
 }
 
 // TestUplinkConservationBetweenWakes drives the same random trees and,

@@ -240,6 +240,10 @@ type Session struct {
 	underrun *netsim.Event
 	stallAt  time.Duration
 
+	// The underrun alarm's and the log tick's callbacks, bound once so
+	// rearming either allocates nothing.
+	underrunFn, logFn func()
+
 	// live is the latency-target controller state; nil for VOD sessions
 	// (every live hook on the playback clock and the fetch loops is
 	// guarded on it, so VOD behaviour is bit-identical to pre-live code).
@@ -297,6 +301,7 @@ func Start(videoLink, audioLink *netsim.Link, cfg Config) (*Session, error) {
 		content: cfg.Content,
 	}
 	s.t0 = s.eng.Now()
+	s.underrunFn, s.logFn = s.onUnderrun, s.onLogTick
 	s.links[media.Video] = videoLink
 	s.links[media.Audio] = audioLink
 	switch m := cfg.Model.(type) {
@@ -518,11 +523,9 @@ func (s *Session) onFrontierAdvance() {
 // rescheduleUnderrun arms the alarm for the instant playback catches up with
 // the downloaded frontier (a stall) or reaches the end of the content.
 func (s *Session) rescheduleUnderrun() {
-	if s.underrun != nil {
+	if !s.playing || s.ended {
 		s.eng.Cancel(s.underrun)
 		s.underrun = nil
-	}
-	if !s.playing || s.ended {
 		return
 	}
 	now := s.eng.Now()
@@ -539,7 +542,7 @@ func (s *Session) rescheduleUnderrun() {
 	if at < now {
 		at = now
 	}
-	s.underrun = s.eng.Schedule(at, s.onUnderrun)
+	s.underrun = s.eng.Retime(s.underrun, at, s.underrunFn)
 }
 
 func (s *Session) onUnderrun() {
@@ -592,10 +595,8 @@ func (s *Session) teardown() {
 		}
 		s.transfers[t] = nil
 	}
-	if s.underrun != nil {
-		s.eng.Cancel(s.underrun)
-		s.underrun = nil
-	}
+	s.eng.Cancel(s.underrun)
+	s.underrun = nil
 	s.collectTransport()
 	s.collectLive()
 }
@@ -638,20 +639,24 @@ func (s *Session) collectTransport() {
 // --- Timeline logging --------------------------------------------------
 
 func (s *Session) scheduleLog() {
-	s.eng.After(s.cfg.LogInterval, func() {
-		if s.ended {
-			return
-		}
-		now := s.eng.Now()
-		if s.rel(now) >= s.cfg.Deadline {
-			// Session is not making it to the end; abort without marking
-			// playback complete.
-			s.abort(fmt.Sprintf("deadline %v reached before playback finished", s.cfg.Deadline))
-			return
-		}
-		s.logSample(now)
-		s.scheduleLog()
-	})
+	s.eng.After(s.cfg.LogInterval, s.logFn)
+}
+
+// onLogTick is the timeline-logging event: it records a sample and arms
+// the next tick, or aborts a session that has run past its deadline.
+func (s *Session) onLogTick() {
+	if s.ended {
+		return
+	}
+	now := s.eng.Now()
+	if s.rel(now) >= s.cfg.Deadline {
+		// Session is not making it to the end; abort without marking
+		// playback complete.
+		s.abort(fmt.Sprintf("deadline %v reached before playback finished", s.cfg.Deadline))
+		return
+	}
+	s.logSample(now)
+	s.scheduleLog()
 }
 
 func (s *Session) logSample(now time.Duration) {

@@ -2,6 +2,7 @@ package player
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -569,5 +570,39 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmSessionRearmAllocFree: once a session is warm, rearming its
+// underrun alarm and firing a timeline log tick allocate nothing. The
+// alarm is retimed in place (a cancelled event is never recycled, so
+// Cancel+Schedule allocated one per rearm) and both callbacks are bound
+// once per session instead of per arm.
+func TestWarmSessionRearmAllocFree(t *testing.T) {
+	c := media.DramaShow()
+	eng := netsim.NewEngine()
+	link := netsim.NewLink(eng, trace.Fixed(media.Kbps(100_000)))
+	s, err := Start(link, link, Config{Content: c, Model: &fixedJoint{combo: lowestCombo(c)}, MaxBuffer: c.Duration})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fetch the whole title; what remains pending is the log tick and the
+	// end-of-content alarm.
+	eng.RunUntil(10 * time.Second)
+	if !s.playing || s.underrun == nil || eng.Pending() != 2 {
+		t.Fatalf("session not warm at %v: playing %v, alarm %v, %d events pending",
+			eng.Now(), s.playing, s.underrun != nil, eng.Pending())
+	}
+	if allocs := testing.AllocsPerRun(100, s.rescheduleUnderrun); allocs != 0 {
+		t.Fatalf("rearming the underrun alarm allocates %.2f objects, want 0", allocs)
+	}
+	// Room for every sample below, so the timeline's growth is not counted.
+	s.res.Timeline = slices.Grow(s.res.Timeline, 200)
+	logged := len(s.res.Timeline)
+	if allocs := testing.AllocsPerRun(100, func() { eng.Step() }); allocs != 0 {
+		t.Fatalf("a log tick allocates %.2f objects, want 0", allocs)
+	}
+	if got := len(s.res.Timeline) - logged; got != 101 || s.ended {
+		t.Fatalf("the measured steps logged %d samples (ended %v), want 101 log ticks", got, s.ended)
 	}
 }
